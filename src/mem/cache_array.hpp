@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/state_hash.hpp"
@@ -79,7 +78,17 @@ class CacheArray {
   CacheEntry* invalidWay(LineAddr line);
 
   /// Least-recently-used valid way satisfying `pred`, or nullptr.
-  CacheEntry* lruWay(LineAddr line, const std::function<bool(const CacheEntry&)>& pred);
+  template <class Pred>
+  CacheEntry* lruWay(LineAddr line, Pred&& pred) {
+    CacheEntry* b = base(setOf(line));
+    CacheEntry* best = nullptr;
+    for (unsigned w = 0; w < geo_.assoc; ++w) {
+      const CacheEntry& e = b[w];
+      if (!e.valid() || !pred(e)) continue;
+      if (best == nullptr || e.lru < best->lru) best = &b[w];
+    }
+    return best;
+  }
 
   /// Mark `e` as most recently used.
   void touch(CacheEntry& e) { e.lru = ++stamp_; }
@@ -88,8 +97,18 @@ class CacheArray {
   void install(CacheEntry& e, LineAddr line, MesiState st, const LineData& data);
 
   /// Iterate over every valid entry (used for commit/abort walks & checkers).
-  void forEachValid(const std::function<void(CacheEntry&)>& fn);
-  void forEachValid(const std::function<void(const CacheEntry&)>& fn) const;
+  template <class Fn>
+  void forEachValid(Fn&& fn) {
+    for (auto& e : entries_) {
+      if (e.valid()) fn(e);
+    }
+  }
+  template <class Fn>
+  void forEachValid(Fn&& fn) const {
+    for (const auto& e : entries_) {
+      if (e.valid()) fn(e);
+    }
+  }
 
   /// Fold the array's behaviour-relevant state into a model-checker
   /// fingerprint: per (set, way) the tag/state/dirty/tx bits and data, plus
@@ -98,7 +117,15 @@ class CacheArray {
   /// victim selection, so only the rank is hashed.
   void hashState(sim::StateHasher& h) const;
 
-  std::uint64_t countIf(const std::function<bool(const CacheEntry&)>& pred) const;
+  /// Number of valid entries satisfying `pred`.
+  template <class Pred>
+  std::uint64_t countIf(Pred&& pred) const {
+    std::uint64_t n = 0;
+    for (const auto& e : entries_) {
+      if (e.valid() && pred(e)) ++n;
+    }
+    return n;
+  }
 
  private:
   CacheGeometry geo_;

@@ -39,11 +39,19 @@ MeshNetwork::MeshNetwork(sim::SimContext& ctx, MeshParams params)
         "mesh geometry must have at least one column and one row, got " +
         std::to_string(params_.cols) + "x" + std::to_string(params_.rows));
   }
+  pos_.reserve(numTiles());
+  for (unsigned t = 0; t < numTiles(); ++t) {
+    pos_.push_back({t % params_.cols, t / params_.cols});
+  }
 }
 
 unsigned MeshNetwork::hops(NodeId src, NodeId dst) const {
-  const Pos a = posOf(tileOf(src));
-  const Pos b = posOf(tileOf(dst));
+  return tileHops(tileOf(src), tileOf(dst));
+}
+
+unsigned MeshNetwork::tileHops(unsigned srcTile, unsigned dstTile) const {
+  const Pos a = pos_[srcTile];
+  const Pos b = pos_[dstTile];
   return static_cast<unsigned>(std::abs(static_cast<int>(a.x) - static_cast<int>(b.x)) +
                                std::abs(static_cast<int>(a.y) - static_cast<int>(b.y)));
 }
@@ -52,7 +60,7 @@ void MeshNetwork::send(NodeId src, NodeId dst, unsigned flits,
                        sim::Action onArrive) {
   const unsigned srcTile = tileOf(src);
   const unsigned dstTile = tileOf(dst);
-  const unsigned h = hops(src, dst);
+  const unsigned h = tileHops(srcTile, dstTile);
   count(flits, h + 1);
   hopsHist_.record(h);
   if (srcTile == dstTile) {
@@ -78,8 +86,8 @@ void MeshNetwork::step(MeshPacket* p) {
     fn();
     return;
   }
-  const Pos here = posOf(p->tile);
-  const Pos dst = posOf(p->dstTile);
+  const Pos here = pos_[p->tile];
+  const Pos dst = pos_[p->dstTile];
   unsigned dir;
   unsigned next;
   if (here.x != dst.x) {  // X first

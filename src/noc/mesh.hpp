@@ -62,10 +62,10 @@ class MeshNetwork final : public Network {
   struct Pos {
     unsigned x, y;
   };
-  Pos posOf(unsigned tile) const {
-    return {tile % params_.cols, tile / params_.cols};
-  }
+  /// (x, y) of every tile, computed once so routing divides by nothing.
+  std::vector<Pos> pos_;
 
+  unsigned tileHops(unsigned srcTile, unsigned dstTile) const;
   void step(MeshPacket* p);
 };
 

@@ -8,12 +8,34 @@
 // The total order is bit-identical to the classic binary-heap implementation
 // (see tests/test_kernel.cpp's replay regression), but schedule/runOne are
 // O(1) amortized and allocation-free once the node slabs have warmed up.
+//
+// Event lifecycle: schedule()/scheduleAt() take the caller's closure as a
+// template argument and construct it directly in a free node's SmallFn —
+// no intermediate Action is built and relocated on the way in. runOne()
+// unlinks the node, invokes the closure where it lies, then destroys it and
+// returns the node to the free list; a scope guard does the last two steps
+// even when the action throws, so a failed sweep job cannot leak nodes from
+// a SimContext that is reused for the next job. Because the running node is
+// off the free list until its action returns, the closure's captures stay
+// valid for the whole call. The hot path (allocNode, insert, appendToRing,
+// runOne) is inline here; slab growth, overflow migration, the oracle path
+// and the throw paths stay out of line in event_queue.cpp.
+//
+// None of this changes which events run or their (cycle, seq) order: seq is
+// still assigned once per successful schedule in call order, and the pop
+// path is the same ring/overflow walk. That order is the contract behind the
+// golden coherence traces, the full-sim fingerprints, the model checker's
+// pick-0 oracle equivalence and every committed result digest, so kernel
+// changes must keep it bit-exact.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/small_fn.hpp"
@@ -69,19 +91,35 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` to run `delay` cycles from now. delay==0 runs later in the
-  /// current cycle (after currently pending same-cycle events).
-  void schedule(Cycle delay, Action fn) { insert(now_ + delay, std::move(fn)); }
+  /// current cycle (after currently pending same-cycle events). `fn` is any
+  /// callable Action accepts (a closure, or an Action, which is relocated).
+  template <class F>
+  void schedule(Cycle delay, F&& fn) {
+    insert(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Schedule at an absolute cycle. Throws std::logic_error when `when` is in
   /// the past — a protocol component computed a stale timestamp.
-  void scheduleAt(Cycle when, Action fn);
+  template <class F>
+  void scheduleAt(Cycle when, F&& fn) {
+    if (when < now_) throwPast(when);
+    insert(when, std::forward<F>(fn));
+  }
 
   Cycle now() const { return now_; }
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
 
   /// Run the next event; returns false if the queue is empty.
-  bool runOne();
+  bool runOne() {
+    if (size_ == 0) return false;
+    Node* n = oracle_ != nullptr ? popWithOracle() : popDefault();
+    --size_;
+    ++executed_;
+    const RecycleOnExit guard{*this, n};
+    n->fn();
+    return true;
+  }
 
   /// Run until the queue drains or `maxCycles` simulated cycles elapse.
   /// Throws SimulationHang if the budget is exceeded.
@@ -126,6 +164,7 @@ class EventQueue {
   static constexpr std::size_t kMask = kHorizon - 1;
   static constexpr std::size_t kOccWords = kHorizon / 64;
   static constexpr std::size_t kSlabNodes = 256;
+  static constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
   static_assert((kHorizon & kMask) == 0, "horizon must be a power of two");
 
   std::vector<Bucket> ring_;
@@ -145,14 +184,109 @@ class EventQueue {
     return a->when != b->when ? a->when > b->when : a->seq > b->seq;
   }
 
-  Node* allocNode();
-  void recycleNode(Node* n);
-  void insert(Cycle when, Action fn);
-  void appendToRing(Node* n);
+  /// Destroys the running node's closure and recycles the node when runOne
+  /// leaves, whether the action returned or threw.
+  struct RecycleOnExit {
+    EventQueue& q;
+    Node* n;
+    ~RecycleOnExit() { q.recycleNode(n); }
+  };
+
+  Node* allocNode() {
+    if (free_ == nullptr) growSlabs();
+    Node* n = free_;
+    free_ = n->next;
+    n->next = nullptr;
+    return n;
+  }
+
+  void recycleNode(Node* n) {
+    n->fn = nullptr;  // release captured state eagerly
+    n->next = free_;
+    free_ = n;
+  }
+
+  template <class F>
+  void insert(Cycle when, F&& fn) {
+    // Guards the `when - now_` horizon test below against u64 wrap: a delay
+    // large enough to overflow `now_ + delay` would otherwise alias into a
+    // ring bucket of an earlier "day" and run kHorizon cycles early.
+    if (when < now_) throwWrapped(when);
+    Node* n = allocNode();
+    try {
+      n->fn = std::forward<F>(fn);
+    } catch (...) {
+      recycleNode(n);
+      throw;
+    }
+    n->when = when;
+    n->seq = seq_++;
+    ++size_;
+    if (when - now_ < kHorizon) {
+      appendToRing(n);
+    } else {
+      pushOverflow(n);
+    }
+  }
+
+  void appendToRing(Node* n) {
+    // Day-rollover bounds check: the ring covers exactly [now_, now_+kHorizon),
+    // so an event outside that window would collide with a bucket belonging
+    // to a different cycle (same index mod kHorizon) and fire at the wrong
+    // time.
+    assert(n->when >= now_ && n->when - now_ < kHorizon &&
+           "calendar ring day rollover: event outside the horizon window");
+    const std::size_t idx = n->when & kMask;
+    Bucket& b = ring_[idx];
+    if (b.head == nullptr) {
+      b.head = b.tail = n;
+      occ_[idx / 64] |= 1ull << (idx % 64);
+    } else {
+      b.tail->next = n;
+      b.tail = n;
+    }
+    ++ringSize_;
+  }
+
+  std::size_t earliestRingIndex() const {
+    // Common case: more events are due in the current cycle.
+    const std::size_t start = now_ & kMask;
+    if (ring_[start].head != nullptr) return start;
+    return scanRing(start);
+  }
+
+  Node* popDefault() {
+    Node* n;
+    if (ringSize_ > 0) {
+      const std::size_t idx = earliestRingIndex();
+      assert(idx != kNoBucket && "occupancy bitmap out of sync");
+      Bucket& b = ring_[idx];
+      n = b.head;
+      b.head = n->next;
+      if (b.head == nullptr) {
+        b.tail = nullptr;
+        occ_[idx / 64] &= ~(1ull << (idx % 64));
+      }
+      --ringSize_;
+    } else {
+      n = popOverflow();
+    }
+    assert(n->when >= now_);
+    now_ = n->when;
+    // Pull newly-in-horizon events into the ring *before* running the
+    // action, so same-cycle ring appends from the action keep their seq
+    // order behind any older overflow events for the same bucket.
+    if (!overflow_.empty()) migrateOverflow();
+    return n;
+  }
+
+  [[noreturn]] void throwPast(Cycle when) const;
+  [[noreturn]] void throwWrapped(Cycle when) const;
+  void growSlabs();
+  void pushOverflow(Node* n);
+  Node* popOverflow();
   void migrateOverflow();
-  std::size_t earliestRingIndex() const;
-  Node* popEarliestRing();
-  Node* popDefault();
+  std::size_t scanRing(std::size_t start) const;
   Node* popWithOracle();
 };
 

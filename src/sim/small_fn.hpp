@@ -8,9 +8,23 @@
 // stays inline. Oversized callables still work via a heap fallback, but the
 // fallback is counted in kstats::heapCallables so the pool-reuse regression
 // test can prove the hot path never takes it.
+//
+// Relocation rule: a move (construction or assignment) relocates the stored
+// state and leaves the source empty. When the stored object is trivially
+// copyable — every hot-path closure is, since they capture only `this`,
+// pointers and integers (`[this, ep]`, `[this, p]`, `[this, line]`) — it has
+// no lifetime-ops table: the move is one fixed-size memcpy of the buffer
+// instead of an indirect call, and destruction is a no-op (trivially
+// copyable types have trivial destructors). The heap fallback's buffer holds
+// only the owning pointer, so its table has a null `relocate` and it moves by
+// memcpy too. Other closures (e.g. one capturing a std::function) are
+// move-constructed into the destination and the source destroyed, once per
+// relocation. The invoke function is stored directly in the SmallFn, so a
+// call is one indirect jump with no table load.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -39,21 +53,12 @@ class SmallFn<R(Args...), Inline> {
     construct(std::forward<F>(f));
   }
 
-  SmallFn(SmallFn&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(o.buf_, buf_);
-      o.ops_ = nullptr;
-    }
-  }
+  SmallFn(SmallFn&& o) noexcept { take(o); }
 
   SmallFn& operator=(SmallFn&& o) noexcept {
     if (this != &o) {
       reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(o.buf_, buf_);
-        o.ops_ = nullptr;
-      }
+      take(o);
     }
     return *this;
   }
@@ -78,58 +83,76 @@ class SmallFn<R(Args...), Inline> {
 
   ~SmallFn() { reset(); }
 
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
-  friend bool operator==(const SmallFn& f, std::nullptr_t) noexcept { return f.ops_ == nullptr; }
-  friend bool operator!=(const SmallFn& f, std::nullptr_t) noexcept { return f.ops_ != nullptr; }
+  explicit operator bool() const noexcept { return invoke_ != nullptr; }
+  friend bool operator==(const SmallFn& f, std::nullptr_t) noexcept { return f.invoke_ == nullptr; }
+  friend bool operator!=(const SmallFn& f, std::nullptr_t) noexcept { return f.invoke_ != nullptr; }
 
-  R operator()(Args... args) { return ops_->invoke(buf_, std::forward<Args>(args)...); }
+  R operator()(Args... args) { return invoke_(buf_, std::forward<Args>(args)...); }
 
  private:
+  using Invoke = R (*)(void*, Args&&...);
+  /// Lifetime hooks of a non-trivial callable. Trivially copyable callables
+  /// have no table (ops_ == nullptr): they relocate by memcpy and need no
+  /// destructor call.
   struct Ops {
-    R (*invoke)(void*, Args&&...);
-    void (*relocate)(void* from, void* to) noexcept;  // move-construct + destroy source
+    /// Move-construct into `to` and destroy the source; nullptr = memcpy.
+    void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void*) noexcept;
   };
 
   alignas(std::max_align_t) unsigned char buf_[Inline];
+  Invoke invoke_ = nullptr;  ///< nullptr == empty
   const Ops* ops_ = nullptr;
 
   void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+    if (ops_ != nullptr) ops_->destroy(buf_);
+    invoke_ = nullptr;
+    ops_ = nullptr;
+  }
+
+  /// Relocate `o`'s callable into this (empty) SmallFn and empty `o`.
+  void take(SmallFn& o) noexcept {
+    invoke_ = o.invoke_;
+    ops_ = o.ops_;
+    if (ops_ != nullptr && ops_->relocate != nullptr) {
+      ops_->relocate(o.buf_, buf_);
+    } else if (invoke_ != nullptr) {
+      std::memcpy(buf_, o.buf_, Inline);
     }
+    o.invoke_ = nullptr;
+    o.ops_ = nullptr;
   }
 
   template <class F>
   void construct(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= Inline && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    constexpr bool fits = sizeof(Fn) <= Inline && alignof(Fn) <= alignof(std::max_align_t);
+    if constexpr (fits && (std::is_trivially_copyable_v<Fn> ||
+                           std::is_nothrow_move_constructible_v<Fn>)) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      static constexpr Ops ops{
-          [](void* b, Args&&... a) -> R {
-            return (*std::launder(reinterpret_cast<Fn*>(b)))(std::forward<Args>(a)...);
-          },
-          [](void* from, void* to) noexcept {
-            Fn* src = std::launder(reinterpret_cast<Fn*>(from));
-            ::new (to) Fn(std::move(*src));
-            src->~Fn();
-          },
-          [](void* b) noexcept { std::launder(reinterpret_cast<Fn*>(b))->~Fn(); },
+      invoke_ = [](void* b, Args&&... a) -> R {
+        return (*std::launder(reinterpret_cast<Fn*>(b)))(std::forward<Args>(a)...);
       };
-      ops_ = &ops;
+      if constexpr (!std::is_trivially_copyable_v<Fn>) {
+        static constexpr Ops ops{
+            [](void* from, void* to) noexcept {
+              Fn* src = std::launder(reinterpret_cast<Fn*>(from));
+              ::new (to) Fn(std::move(*src));
+              src->~Fn();
+            },
+            [](void* b) noexcept { std::launder(reinterpret_cast<Fn*>(b))->~Fn(); },
+        };
+        ops_ = &ops;
+      }
     } else {
       kstats::heapCallables.fetch_add(1, std::memory_order_relaxed);
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       static constexpr Ops ops{
-          [](void* b, Args&&... a) -> R {
-            return (**std::launder(reinterpret_cast<Fn**>(b)))(std::forward<Args>(a)...);
-          },
-          [](void* from, void* to) noexcept {
-            ::new (to) Fn*(*std::launder(reinterpret_cast<Fn**>(from)));
-          },
+          nullptr,  // the buffer holds only the owning pointer: memcpy it
           [](void* b) noexcept { delete *std::launder(reinterpret_cast<Fn**>(b)); },
+      };
+      invoke_ = [](void* b, Args&&... a) -> R {
+        return (**std::launder(reinterpret_cast<Fn**>(b)))(std::forward<Args>(a)...);
       };
       ops_ = &ops;
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -132,6 +134,109 @@ TEST(EventQueue, ResetKeepsSlabsDropsEvents) {
   EXPECT_EQ(q.slabsAllocated(), slabs);  // reuse, no new slabs
   while (q.runOne()) {
   }
+}
+
+TEST(EventQueue, ThrowingActionStillRecyclesItsNode) {
+  // A sweep worker reuses one queue after a failed job: the throwing event's
+  // node must go back to the free list and its closure must be destroyed,
+  // or every failure would leak a node (and whatever the closure captured).
+  EventQueue q;
+  int ran = 0;
+  auto token = std::make_shared<int>(0);
+  auto load = [&] {
+    for (int i = 0; i < 300; ++i) {
+      q.schedule(static_cast<Cycle>(i % 7), [&ran] { ++ran; });
+    }
+    q.schedule(3, [token] { throw std::runtime_error("job failed"); });
+  };
+  load();
+  EXPECT_THROW(
+      {
+        while (q.runOne()) {
+        }
+      },
+      std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);  // the thrower's closure is gone
+  q.reset();
+  const std::size_t slabs = q.slabsAllocated();
+  // Enough failures that even one lost node per failure would exhaust any
+  // slab slack and force a new slab.
+  for (int round = 0; round < 1000; ++round) {
+    load();
+    EXPECT_THROW(
+        {
+          while (q.runOne()) {
+          }
+        },
+        std::runtime_error);
+    q.reset();
+    ASSERT_EQ(q.pending(), 0u);
+  }
+  EXPECT_EQ(q.slabsAllocated(), slabs);
+  EXPECT_EQ(token.use_count(), 1);
+  // The queue still runs the same schedule to completion once the thrower
+  // is gone.
+  ran = 0;
+  for (int i = 0; i < 300; ++i) q.schedule(static_cast<Cycle>(i % 7), [&ran] { ++ran; });
+  while (q.runOne()) {
+  }
+  EXPECT_EQ(ran, 300);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.slabsAllocated(), slabs);
+}
+
+TEST(EventQueue, FailedScheduleLeavesQueueUntouched) {
+  // The closure is built inside a queue node; if building it throws, the
+  // node must go back and no sequence number may be consumed.
+  struct ThrowOnCopy {
+    ThrowOnCopy() = default;
+    ThrowOnCopy(const ThrowOnCopy&) { throw std::runtime_error("copy failed"); }
+    ThrowOnCopy(ThrowOnCopy&&) noexcept = default;
+    void operator()() const {}
+  };
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(1, [&order] { order.push_back(1); });
+  const std::size_t slabs = q.slabsAllocated();
+  const ThrowOnCopy bad;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_THROW(q.schedule(1, bad), std::runtime_error);
+  }
+  EXPECT_EQ(q.pending(), 1u);
+  q.schedule(1, [&order] { order.push_back(2); });
+  while (q.runOne()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.slabsAllocated(), slabs);
+}
+
+TEST(EventQueue, RunningActionKeepsItsCapturesWhileScheduling) {
+  // Actions run in place inside their node, so the node must stay off the
+  // free list for the whole call: scheduling from inside the action (here
+  // enough to grow new slabs) must not clobber the running closure.
+  EventQueue q;
+  std::vector<std::uint64_t> seen;
+  const std::uint64_t a = 0x1234, b = 0x5678;
+  q.schedule(1, [&q, &seen, a, b] {
+    for (int i = 0; i < 2000; ++i) q.schedule(1, [] {});
+    seen.push_back(a);
+    seen.push_back(b);
+  });
+  while (q.runOne()) {
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0x1234, 0x5678}));
+  EXPECT_EQ(q.executed(), 2001u);
+}
+
+TEST(EventQueue, ScheduledActionIsRelocatedNotWrapped) {
+  EventQueue q;
+  int hits = 0;
+  Action fn = [&hits] { ++hits; };
+  q.schedule(2, std::move(fn));
+  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  while (q.runOne()) {
+  }
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(EventQueue, RunUntilDrainedThrowsOnBudget) {

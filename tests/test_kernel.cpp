@@ -6,12 +6,17 @@
 //    message-pool, or callable heap allocations after warm-up (kstats
 //    telemetry hooks);
 //  * SimContext reuse determinism: the same run in a recycled context is
-//    bit-identical to a fresh one.
+//    bit-identical to a fresh one;
+//  * SmallFn's relocation rule: trivially copyable closures move by memcpy,
+//    other closures are move-constructed and destroyed exactly once per
+//    relocation, and oversized closures take the counted heap path.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "coherence/messages.hpp"
@@ -22,6 +27,7 @@
 #include "sim/context.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel_stats.hpp"
+#include "sim/small_fn.hpp"
 #include "workloads/micro.hpp"
 
 namespace lktm {
@@ -230,6 +236,102 @@ TEST(KernelContext, PoolsSurviveBeginRun) {
   EXPECT_EQ(ctx.pooledSlabs(), slabs);  // memory retained across runs
   EXPECT_EQ(&ctx.pool<coh::Msg>(), &msgs);
   EXPECT_EQ(ctx.runsStarted(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SmallFn relocation: the memcpy fast path for trivially copyable closures,
+// exact move/destroy accounting for the rest, and the counted heap path.
+
+/// Counts the moves and destructions of one captured object.
+struct Tally {
+  int moves = 0;
+  int destroys = 0;
+};
+
+class Tracked {
+ public:
+  explicit Tracked(Tally* t) : t_(t) {}
+  Tracked(Tracked&& o) noexcept : t_(o.t_) { ++t_->moves; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() { ++t_->destroys; }
+
+ private:
+  Tally* t_;
+};
+
+TEST(SmallFn, TriviallyCopyableClosureSurvivesRelocation) {
+  const auto before = sim::kstats::snapshot();
+  std::uint64_t sum = 0;
+  std::uint64_t* out = &sum;
+  const std::uint64_t a = 0x1111, b = 0x2222, c = 0x4444;
+  auto closure = [out, a, b, c] { *out += a + b + c; };
+  static_assert(std::is_trivially_copyable_v<decltype(closure)>);
+
+  sim::Action first(closure);
+  sim::Action second(std::move(first));  // move construction
+  EXPECT_FALSE(first);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(second);
+  second();
+  EXPECT_EQ(sum, 0x7777u);
+
+  sim::Action third = [] {};
+  third = std::move(second);  // move assignment over a live callable
+  EXPECT_FALSE(second);  // NOLINT(bugprone-use-after-move)
+  third();
+  EXPECT_EQ(sum, 2u * 0x7777u);
+
+  third = nullptr;  // reset
+  EXPECT_FALSE(third);
+  EXPECT_EQ(sim::kstats::snapshot().heapCallables, before.heapCallables);
+}
+
+TEST(SmallFn, NonTrivialClosureMovesAndDestroysOncePerRelocation) {
+  Tally tally;
+  int calls = 0;
+  sim::Action first = [t = Tracked(&tally), &calls] { ++calls; };
+  // Building the closure may move it any number of times; count from here.
+  const Tally built = tally;
+  ASSERT_EQ(built.destroys, built.moves);  // every temporary is gone
+
+  sim::Action second(std::move(first));
+  EXPECT_EQ(tally.moves, built.moves + 1);
+  EXPECT_EQ(tally.destroys, built.destroys + 1);
+
+  sim::Action third;
+  third = std::move(second);
+  EXPECT_EQ(tally.moves, built.moves + 2);
+  EXPECT_EQ(tally.destroys, built.destroys + 2);
+
+  third();
+  EXPECT_EQ(calls, 1);
+  third = nullptr;
+  EXPECT_EQ(tally.moves, built.moves + 2);
+  EXPECT_EQ(tally.destroys, built.destroys + 3);  // the live copy, once
+}
+
+TEST(SmallFn, OversizedClosureTakesCountedHeapPath) {
+  Tally tally;
+  std::array<std::uint64_t, 8> wide{};  // 64 bytes: over the inline buffer
+  wide[7] = 41;
+  std::uint64_t got = 0;
+  const auto before = sim::kstats::snapshot();
+  sim::Action first = [wide, t = Tracked(&tally), &got] { got = wide[7] + 1; };
+  EXPECT_EQ(sim::kstats::snapshot().heapCallables, before.heapCallables + 1);
+  const Tally built = tally;
+
+  // Relocating the SmallFn moves only the owning pointer, never the closure.
+  sim::Action second(std::move(first));
+  sim::Action third;
+  third = std::move(second);
+  EXPECT_EQ(tally.moves, built.moves);
+  EXPECT_EQ(tally.destroys, built.destroys);
+  third();
+  EXPECT_EQ(got, 42u);
+  third = nullptr;
+  EXPECT_EQ(tally.destroys, built.destroys + 1);
+  EXPECT_EQ(sim::kstats::snapshot().heapCallables, before.heapCallables + 1);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 # One-command pre-merge check: build the default and sanitize presets, run the
 # full test suite under both (tier-1 plus the fuzz and coherence-replay
 # determinism tests under ASan+UBSan), run the model-checker suite (ctest -L
-# verify: exhaustive lktm_check sweeps + test_verify) under both presets, run
+# verify: exhaustive lktm_check sweeps + test_verify) under both presets,
+# check that every simbench workload's result_digest still equals the one
+# recorded in simbench/BASELINE.json (simulated results byte-identical), run
 # clang-tidy over src/ when the tool is installed, validate a --stats-json
 # artifact against the lktm.stats.v1 schema, smoke the 128-core banked
 # directory path (or, on a 64-core-capped build, verify its rejection
@@ -53,6 +55,31 @@ ctest --preset default
 
 echo "== ctest: model checker (default) =="
 ctest --preset verify
+
+echo "== simbench: simulated results byte-identical to the recorded baseline =="
+# A host-only performance change must leave every simulated bit alone: each
+# benchmark workload's result_digest at the default seed must equal
+# seed11_traced.<workload>.result_digest in simbench/BASELINE.json. This
+# stage only reads simbench/ (run.py builds into the ignored .bench_build/).
+python3 simbench/run.py --workload all --seconds 1 >build/simbench_check.txt
+python3 - build/simbench_check.txt simbench/BASELINE.json <<'PY'
+import json, re, sys
+want = {w: v["result_digest"]
+        for w, v in json.load(open(sys.argv[2]))["seed11_traced"].items()}
+got, workload = {}, None
+for line in open(sys.argv[1]):
+    m = re.match(r"workload (\S+):", line)
+    if m:
+        workload = m.group(1)
+    m = re.match(r"result_digest: (\S+)", line)
+    if m:
+        got[workload] = m.group(1)
+for w, d in want.items():
+    print("  %-20s %s (baseline %s)" % (w, got.get(w, "missing"), d))
+bad = [w for w, d in want.items() if got.get(w) != d]
+if bad:
+    sys.exit("result_digest differs from simbench/BASELINE.json: " + ", ".join(bad))
+PY
 
 echo "== clang-tidy: src/ + tools/ =="
 if command -v clang-tidy >/dev/null 2>&1; then
