@@ -22,6 +22,10 @@ struct AluCase {
   std::uint64_t expect;
 };
 
+// Without this, gtest prints the raw bytes of the case, including the
+// `name` pointer, so the listed test ids change with every process.
+void PrintTo(const AluCase& tc, std::ostream* os) { *os << tc.name; }
+
 class AluTest : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(AluTest, ComputesAndStores) {
