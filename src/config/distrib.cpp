@@ -16,7 +16,6 @@
 #include <sstream>
 #include <thread>
 
-#include "config/artifact.hpp"
 #include "stats/json.hpp"
 
 namespace lktm::cfg {
@@ -158,6 +157,24 @@ std::size_t jobShard(const JobSpec& spec, std::uint64_t numShards) {
   return static_cast<std::size_t>(h % numShards);
 }
 
+DoneRecord doneRecordOf(const JobRecord& j, const std::string& worker) {
+  DoneRecord d;
+  d.file = jobFileStem(j.spec);
+  d.id = j.spec.id();
+  d.state = j.state;
+  d.attempts = j.attempts;
+  d.diagnostic = j.diagnostic;
+  d.artifact = j.artifact;
+  d.wallSeconds = j.wallSeconds;
+  d.cycles = j.cycles;
+  d.worker = worker;
+  return d;
+}
+
+std::string claimDirFor(const std::string& manifestPath) {
+  return manifestPath + ".claims";
+}
+
 ClaimStore::ClaimStore(std::string root, std::string workerId)
     : root_(std::move(root)), workerId_(std::move(workerId)) {}
 
@@ -187,16 +204,8 @@ std::size_t ClaimStore::seed(const SweepManifest& manifest) const {
                                  j.state == JobState::Hang ||
                                  j.state == JobState::Timeout;
     if (okWithArtifact || terminalFailure) {
-      DoneRecord d;
-      d.file = f;
-      d.id = j.spec.id();
-      d.state = j.state;
-      d.attempts = j.attempts;
-      d.diagnostic = j.diagnostic;
-      d.artifact = okWithArtifact ? j.artifact : "";
-      d.wallSeconds = j.wallSeconds;
-      d.cycles = j.cycles;
-      d.worker = workerId_;
+      DoneRecord d = doneRecordOf(j, workerId_);
+      if (!okWithArtifact) d.artifact.clear();
       created += exclusiveCreate((fs::path(root_) / "done" / f).string(),
                                  doneJson(d))
                      ? 1
@@ -570,42 +579,14 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
     RunResult r =
         detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt, onRetry);
 
-    JobState state = jobStateOf(r);
-    std::string artifactPath;
-    if (state == JobState::Ok && !manifest.artifactDir.empty()) {
-      artifactPath =
-          (fs::path(manifest.artifactDir) / (stems[i] + ".json")).string();
-      if (!writeStatsJsonFileAtomic(artifactPath, r,
-                                    ".tmp-" + wopts.workerId)) {
-        state = JobState::Failed;
-        r.status = RunStatus::Failed;
-        r.diagnostic = "cannot write artifact " + artifactPath;
-        artifactPath.clear();
-      }
-    }
+    JobRecord done;
+    done.spec = spec;
+    done.attempts = attempts;
+    detail::recordFinishedRun(done, r, manifest.artifactDir, ".tmp-" + wopts.workerId);
 
     std::lock_guard<std::mutex> lock(mu);
-    JobRecord& j = manifest.jobs[i];
-    j.state = state;
-    j.attempts = attempts;
-    j.artifact = artifactPath;
-    j.wallSeconds = r.wallSeconds;
-    j.cycles = r.cycles;
-    j.diagnostic = state == JobState::Ok ? "" : r.diagnostic;
-    if (state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
-      j.diagnostic = r.violations.front();
-    }
-    DoneRecord d;
-    d.file = stems[i];
-    d.id = spec.id();
-    d.state = state;
-    d.attempts = attempts;
-    d.diagnostic = j.diagnostic;
-    d.artifact = artifactPath;
-    d.wallSeconds = r.wallSeconds;
-    d.cycles = r.cycles;
-    d.worker = wopts.workerId;
-    store.markDone(d);
+    manifest.jobs[i] = done;
+    store.markDone(doneRecordOf(done, wopts.workerId));
     ++report.ran;
     ++doneThisRun;
     if (opts.progress != nullptr) {
@@ -626,7 +607,7 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
       char line[256];
       std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
                     doneGlobal, manifest.jobs.size(), spec.id().c_str(),
-                    toString(state), j.wallSeconds, etaStr);
+                    toString(done.state), done.wallSeconds, etaStr);
       *opts.progress << line;
     }
   };

@@ -31,6 +31,12 @@
 // many workers ran, where, or how often they died. done/ beats claimed/
 // whenever both exist (a worker died between finishing and unclaiming).
 //
+// The single-process `lktm_sweep run` (runManifest) journals into the same
+// done/ directory in the same DoneRecord format, but never creates todo/,
+// claimed/ or heartbeat entries. So status and merge read a live or killed
+// `run` exactly like a distributed sweep, and a spool holding only done
+// records is one `run` may resume.
+//
 // Shard assignment is pure computation, not state: jobShard() keys on the
 // same manifest identity that feeds jobRunSeed, so every worker derives the
 // same job -> shard map with no messages. Workers *prefer* their own shard
@@ -74,6 +80,14 @@ struct DoneRecord {
   std::uint64_t cycles = 0;
   std::string worker;  ///< who finished it
 };
+
+/// The done record of a job whose manifest record is `j`, finished by `worker`.
+DoneRecord doneRecordOf(const JobRecord& j, const std::string& worker);
+
+/// The claim spool that belongs to the manifest at `manifestPath`:
+/// "<manifest>.claims". `lktm_sweep work` uses it unless --claim-dir says
+/// otherwise; runManifest always journals its done records there.
+std::string claimDirFor(const std::string& manifestPath);
 
 /// Parsed heartbeat file (hb/<worker>).
 struct HeartbeatRecord {

@@ -1,6 +1,7 @@
 #include "config/orchestrator.hpp"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "config/artifact.hpp"
+#include "config/distrib.hpp"
 #include "config/systems.hpp"
 #include "stats/json.hpp"
 #include "workloads/db_traffic.hpp"
@@ -318,6 +320,29 @@ RunResult runJobWithRetries(
   }
 }
 
+void recordFinishedRun(JobRecord& j, RunResult& r, const std::string& artifactDir,
+                       const std::string& tmpSuffix) {
+  j.state = jobStateOf(r);
+  j.artifact.clear();
+  if (j.state == JobState::Ok && !artifactDir.empty()) {
+    const std::string path =
+        (fs::path(artifactDir) / (jobFileStem(j.spec) + ".json")).string();
+    if (writeStatsJsonFileAtomic(path, r, tmpSuffix)) {
+      j.artifact = path;
+    } else {
+      j.state = JobState::Failed;
+      r.status = RunStatus::Failed;
+      r.diagnostic = "cannot write artifact " + path;
+    }
+  }
+  j.wallSeconds = r.wallSeconds;
+  j.cycles = r.cycles;
+  j.diagnostic = j.state == JobState::Ok ? "" : r.diagnostic;
+  if (j.state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
+    j.diagnostic = r.violations.front();
+  }
+}
+
 }  // namespace detail
 
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
@@ -329,6 +354,18 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
   if (!manifest.artifactDir.empty()) {
     std::error_code ec;
     fs::create_directories(manifest.artifactDir, ec);
+  }
+
+  // Finished jobs are journaled as done records in the claim spool; the
+  // manifest file itself is written once, at the end. Records left by an
+  // invocation that died before its final save are the newest state, so they
+  // are folded in before normalizing.
+  const bool persist = !manifestPath.empty();
+  const ClaimStore spool(persist ? claimDirFor(manifestPath) : "", "run");
+  if (persist) {
+    foldClaimState(manifest, spool.root());
+    std::error_code ec;
+    fs::create_directories(fs::path(spool.root()) / "done", ec);  // markDone reports failure
   }
 
   // Normalize stale state from a previous (possibly killed) invocation.
@@ -354,36 +391,27 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
     }
   }
 
-  std::mutex mu;  // guards manifest, report, progress, checkpoint saves
+  std::mutex mu;  // guards the in-memory records, report, results and progress
   std::vector<char> ranNow(manifest.jobs.size(), 0);
   std::size_t started = 0;
   std::size_t claimCursor = 0;
   std::size_t doneThisRun = 0;
   const auto t0 = WallClock::now();
 
-  auto checkpoint = [&] {
-    if (!manifestPath.empty()) manifest.save(manifestPath);
-  };
-
   auto claim = [&]() -> std::ptrdiff_t {
     std::lock_guard<std::mutex> lock(mu);
     if (claimCursor >= runnable.size()) return -1;
     if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
-    const std::size_t i = runnable[claimCursor++];
     ++started;
-    manifest.jobs[i].state = JobState::Running;
-    checkpoint();
-    return static_cast<std::ptrdiff_t>(i);
+    return static_cast<std::ptrdiff_t>(runnable[claimCursor++]);
   };
 
   const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
 
   auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
-    const JobSpec spec = manifest.jobs[i].spec;
-    auto beginAttempt = [&]() -> unsigned {
-      std::lock_guard<std::mutex> lock(mu);
-      return ++manifest.jobs[i].attempts;
-    };
+    JobRecord done = manifest.jobs[i];  // job i is this thread's until it is done
+    const JobSpec& spec = done.spec;
+    auto beginAttempt = [&]() -> unsigned { return ++done.attempts; };
     auto onRetry = [&](unsigned attempt, const RunResult& failed) {
       std::lock_guard<std::mutex> lock(mu);
       ++report.retried;
@@ -395,34 +423,22 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
     RunResult r = detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt,
                                             onRetry);
 
-    JobState state = jobStateOf(r);
-    std::string artifactPath;
-    if (state == JobState::Ok && !manifest.artifactDir.empty()) {
-      artifactPath =
-          (fs::path(manifest.artifactDir) / (jobFileStem(spec) + ".json")).string();
-      if (!writeStatsJsonFile(artifactPath, r)) {
-        state = JobState::Failed;
-        r.status = RunStatus::Failed;
-        r.diagnostic = "cannot write artifact " + artifactPath;
-        artifactPath.clear();
-      }
-    }
+    // Both writes happen outside the lock: the artifact is renamed into place
+    // first, so a done record never names a missing or torn file.
+    detail::recordFinishedRun(done, r, manifest.artifactDir, ".tmp");
+    const bool recorded = !persist || spool.markDone(doneRecordOf(done, "run"));
 
     std::lock_guard<std::mutex> lock(mu);
-    JobRecord& j = manifest.jobs[i];
-    j.state = state;
-    j.artifact = artifactPath;
-    j.wallSeconds = r.wallSeconds;
-    j.cycles = r.cycles;
-    j.diagnostic = state == JobState::Ok ? "" : r.diagnostic;
-    if (state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
-      j.diagnostic = r.violations.front();
+    if (!recorded) {
+      ++report.writeFailures;
+      std::cerr << "error: cannot write the done record of " << spec.id() << " under "
+                << spool.root() << "\n";
     }
+    manifest.jobs[i] = done;
     if (results != nullptr) (*results)[i] = std::move(r);
     ranNow[i] = 1;
     ++report.ran;
     ++doneThisRun;
-    checkpoint();
     if (opts.progress != nullptr) {
       const std::size_t terminalTotal = report.skipped + doneThisRun;
       const double elapsed =
@@ -443,7 +459,7 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
       char line[256];
       std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
                     terminalTotal, manifest.jobs.size(), spec.id().c_str(),
-                    toString(state), j.wallSeconds, etaStr);
+                    toString(done.state), done.wallSeconds, etaStr);
       *opts.progress << line;
     }
   };
@@ -492,61 +508,201 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
     if (slot.diagnostic.empty()) slot.diagnostic = j.diagnostic;
   }
 
-  checkpoint();
+  if (persist) {
+    if (!manifest.save(manifestPath)) {
+      ++report.writeFailures;  // the done records stay: they are the only copy
+    } else {
+      // The saved manifest now says everything the done records did. Drop
+      // them, so a later `plan` over this path starts from a clean slate.
+      std::error_code ec;
+      for (const JobRecord& j : manifest.jobs) {
+        fs::remove(fs::path(spool.root()) / "done" / jobFileStem(j.spec), ec);
+      }
+      fs::remove(fs::path(spool.root()) / "done", ec);  // only if now empty
+      fs::remove(spool.root(), ec);
+    }
+  }
   return report;
 }
 
-bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath) {
-  std::ostringstream os;
-  stats::json::Writer w(os, /*pretty=*/true);
+namespace {
+
+/// Jobs each merge thread may render ahead of the writer.
+constexpr std::size_t kMergeWindowPerThread = 2;
+
+/// Open the merged document up to its "runs" array. The merged output and
+/// every per-job rendering start with this, so a run rendered on its own sits
+/// at the nesting depth, hence the indentation, it has in the merge.
+void openMergedRuns(stats::json::Writer& w) {
   w.beginObject();
   w.field("schema", kStatsSchema);
   w.key("runs");
   w.beginArray();
-  for (const JobRecord& j : manifest.jobs) {
-    if (j.state != JobState::Ok) continue;
-    std::ifstream in(j.artifact, std::ios::binary);
-    if (!in) {
-      std::cerr << "error: cannot open artifact " << j.artifact << " for "
-                << j.spec.id() << "\n";
-      return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    Value doc;
-    try {
-      doc = stats::json::parse(ss.str());
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << j.artifact << ": " << e.what() << "\n";
-      return false;
-    }
-    const Value* runs = doc.find("runs");
-    if (runs == nullptr || !runs->isArray() || runs->array->size() != 1) {
-      std::cerr << "error: " << j.artifact << " is not a one-run artifact\n";
-      return false;
-    }
-    Value run = runs->array->at(0);
-    if (run.isObject()) {
-      // Host timing is the one field a resume cannot reproduce; zero it so
-      // merged bytes depend only on the job specs.
-      Value zero;
-      zero.kind = Value::Kind::Number;
-      zero.number = 0.0;
-      zero.text = "0";
-      (*run.object)["wall_seconds"] = zero;
-    }
-    stats::json::writeValue(w, run);
-  }
+}
+
+/// The bytes that close the merged document after its last run.
+std::string mergedTail() {
+  std::ostringstream os;
+  stats::json::Writer w(os, /*pretty=*/true);
+  openMergedRuns(w);
+  w.null();  // a stand-in run, so the closers indent as they do after real runs
+  const auto mark = static_cast<std::size_t>(os.tellp());
   w.endArray();
   w.endObject();
+  return os.str().substr(mark);
+}
 
-  std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "error: cannot open " << outPath << " for writing\n";
-    return false;
+/// One Ok job's run entry exactly as the merged document carries it: leading
+/// newline and indent, no separating comma, "wall_seconds" zeroed. Throws
+/// std::runtime_error when the artifact is missing or not a one-run
+/// lktm.stats.v1 document.
+std::string renderMergedRun(const JobRecord& j) {
+  std::ifstream in(j.artifact, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("cannot open artifact " + j.artifact + " for " + j.spec.id());
   }
-  out << os.str();
-  return static_cast<bool>(out);
+  std::ostringstream text;
+  text << in.rdbuf();
+  Value doc;
+  try {
+    doc = stats::json::parse(text.str());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(j.artifact + ": " + e.what());
+  }
+  const Value* runs = doc.find("runs");
+  if (runs == nullptr || !runs->isArray() || runs->array->size() != 1) {
+    throw std::runtime_error(j.artifact + " is not a one-run artifact");
+  }
+  Value& run = runs->array->front();
+  if (run.isObject()) {
+    // Host timing is the one field a resume cannot reproduce; zero it so
+    // merged bytes depend only on the job specs.
+    Value zero;
+    zero.kind = Value::Kind::Number;
+    zero.number = 0.0;
+    zero.text = "0";
+    (*run.object)["wall_seconds"] = zero;
+  }
+  std::ostringstream os;
+  stats::json::Writer w(os, /*pretty=*/true);
+  openMergedRuns(w);
+  const auto start = static_cast<std::size_t>(os.tellp());
+  stats::json::writeValue(w, run);
+  std::string out = std::move(os).str();
+  out.erase(0, start);
+  return out;
+}
+
+/// Stream the merged document of `jobs` to `out` in job order while up to
+/// `threads` threads render runs at most kMergeWindowPerThread * threads jobs
+/// ahead of it. Returns false with `error` set when a job cannot be rendered;
+/// `out` then holds a partial document.
+bool streamMergedRuns(const std::vector<const JobRecord*>& jobs, std::size_t threads,
+                      std::ostream& out, std::string& error) {
+  stats::json::Writer w(out, /*pretty=*/true);
+  openMergedRuns(w);
+  if (jobs.empty()) {
+    w.endArray();
+    w.endObject();
+    return true;
+  }
+  threads = std::min(threads, jobs.size());
+  const std::size_t window = kMergeWindowPerThread * threads;
+  std::vector<std::string> slots(window);
+  std::vector<char> ready(window, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t next = 0;     // next job to render
+  std::size_t written = 0;  // jobs already streamed out
+  bool failed = false;
+
+  auto render = [&] {
+    for (;;) {
+      std::size_t i = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+          return failed || next >= jobs.size() || next < written + window;
+        });
+        if (failed || next >= jobs.size()) return;
+        i = next++;
+      }
+      std::string piece;
+      std::string why;
+      bool ok = false;
+      try {
+        piece = renderMergedRun(*jobs[i]);
+        ok = true;
+      } catch (const std::exception& e) {
+        why = e.what();
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (ok) {
+          slots[i % window] = std::move(piece);
+          ready[i % window] = 1;
+        } else if (!failed) {
+          failed = true;
+          error = std::move(why);
+        }
+      }
+      cv.notify_all();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(render);
+
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    std::string piece;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return failed || ready[i % window] != 0; });
+      if (failed) break;
+      piece = std::move(slots[i % window]);
+      ready[i % window] = 0;
+      ++written;
+    }
+    cv.notify_all();
+    if (i > 0) out << ',';
+    out << piece;
+  }
+  for (std::thread& t : pool) t.join();
+  if (failed) return false;
+  out << mergedTail();
+  return true;
+}
+
+}  // namespace
+
+bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath,
+                         unsigned hostThreads) {
+  std::vector<const JobRecord*> okJobs;
+  for (const JobRecord& j : manifest.jobs) {
+    if (j.state == JobState::Ok) okJobs.push_back(&j);
+  }
+  const std::string tmp = outPath + ".tmp";
+  std::string error;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      std::cerr << "error: cannot open " << tmp << " for writing\n";
+      return false;
+    }
+    if (streamMergedRuns(okJobs, detail::hostThreadCount(hostThreads), out, error)) {
+      out.close();
+      if (!out) error = "short write to " + tmp;
+    }
+  }
+  std::error_code ec;
+  if (error.empty()) {
+    fs::rename(tmp, outPath, ec);
+    if (!ec) return true;
+    error = "cannot rename " + tmp + " -> " + outPath + ": " + ec.message();
+  }
+  std::cerr << "error: " << error << "\n";
+  fs::remove(tmp, ec);
+  return false;
 }
 
 SweepManifest makeManifest(const std::string& artifactDir, const std::string& machine,

@@ -1,11 +1,15 @@
 // Manifest-driven experiment orchestrator: the layer between the raw
 // worker-pool sweep (config/sweep.hpp) and the figure suite. A sweep is
-// described by a persistent manifest ("lktm.manifest.v1", written through the
+// described by a persistent manifest ("lktm.manifest.v2", written through the
 // same JSON layer as the stats artifacts) recording every job's spec, seed,
 // state, attempt count and artifact path. runManifest() executes the pending
-// jobs, checkpoints the manifest after every completion, and writes one
-// lktm.stats.v1 artifact per job — so a killed sweep resumes exactly where it
-// stopped, skipping completed jobs.
+// jobs and writes one lktm.stats.v1 artifact per job. Each finished job is
+// journaled as one done record in the manifest's claim spool
+// ("<manifest>.claims/done/<stem>") — the format `lktm_sweep work` writes and
+// status/merge fold (config/distrib.hpp) — and the manifest file itself is
+// written once, at the end. Bookkeeping therefore costs O(1) per job, and a
+// killed sweep still resumes exactly where it stopped, skipping completed
+// jobs.
 //
 // Determinism contract (regression-tested): an interrupted-and-resumed sweep
 // produces a merged artifact bit-identical to an uninterrupted one, at any
@@ -162,16 +166,24 @@ struct OrchestratorReport {
   std::size_t retried = 0;  ///< extra attempts consumed by transient jobs
   std::size_t ok = 0;       ///< jobs Ok after this invocation (whole manifest)
   std::size_t failed = 0;   ///< jobs Failed/Hang/Timeout (whole manifest)
+  /// Done records and final manifest saves that could not be written. Not 0
+  /// means a resume may redo work, or that this invocation's results are
+  /// not on disk at all.
+  std::size_t writeFailures = 0;
 };
 
-/// Execute a manifest: normalize stale state (Running -> Pending, Ok with a
-/// missing artifact file -> Pending), run every pending job on the worker
-/// pool, retry transient failures with backoff, write one per-job artifact
-/// and checkpoint the manifest after each completion. When `manifestPath` is
-/// empty the manifest is kept in memory only (no checkpoints). When `results`
-/// is non-null it receives one RunResult per job in manifest order — loaded
-/// from the artifact for skipped-Ok jobs, so a resumed sweep still hands the
-/// figure code the complete result set.
+/// Execute a manifest: fold in the done records an earlier, killed invocation
+/// left in claimDirFor(manifestPath), normalize stale state (Running ->
+/// Pending, Ok with a missing artifact file -> Pending), run every pending job
+/// on the worker pool and retry transient failures with backoff. A finished
+/// job renames its artifact into place, then writes its done record; neither
+/// write holds the pool's lock. The manifest is saved once, at the end, after
+/// which the done records are removed. When `manifestPath` is empty the
+/// manifest is kept in memory only (no spool, no save). When `results` is
+/// non-null it receives one RunResult per job in manifest order — loaded from
+/// the artifact for skipped-Ok jobs, so a resumed sweep still hands the figure
+/// code the complete result set. The spool must not be shared with
+/// `lktm_sweep work` workers.
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
                                const OrchestratorOptions& opts = {},
                                const JobRunner& runner = {},
@@ -181,9 +193,14 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
 /// multi-run lktm.stats.v1 document. Each run entry is re-emitted through the
 /// deterministic JSON re-writer with "wall_seconds" zeroed, so the merged
 /// bytes depend only on the job specs — not on interruptions, resumes or
-/// hostThreads. Returns false (with a message on stderr) when an artifact is
-/// missing or unreadable.
-bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath);
+/// hostThreads. Runs are read, parsed and re-emitted on `hostThreads` threads
+/// (0 = as many as runWorkerPool uses) a bounded window of jobs ahead of the
+/// writer, which streams them to `outPath + ".tmp"` and renames that into
+/// place. Returns false (with a message on stderr) when an artifact is missing
+/// or unreadable; no ".tmp" file is left and an existing `outPath` is not
+/// touched.
+bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath,
+                         unsigned hostThreads = 0);
 
 /// Cross-product helper: one Pending record per (workload x system x threads)
 /// cell on `machine`, in the same order sweepSystems() runs them.
@@ -213,6 +230,13 @@ RunResult runJobWithRetries(
     const JobSpec& spec, const OrchestratorOptions& opts, const JobRunner& run,
     sim::SimContext& ctx, const std::function<unsigned()>& beginAttempt,
     const std::function<void(unsigned, const RunResult&)>& onRetry);
+
+/// Fill the terminal fields of `j` (state, artifact, diagnostic, wall time,
+/// cycles) from its finished run `r`. An Ok run's artifact is written to
+/// "<artifactDir>/<stem>.json" atomically (via `path + tmpSuffix`, then a
+/// rename) when `artifactDir` is set; a failed write turns the job Failed.
+void recordFinishedRun(JobRecord& j, RunResult& r, const std::string& artifactDir,
+                       const std::string& tmpSuffix);
 
 }  // namespace detail
 

@@ -10,14 +10,16 @@ namespace lktm::cfg {
 
 namespace detail {
 
+unsigned hostThreadCount(unsigned requested) {
+  return requested != 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
+}
+
 void runWorkerPool(unsigned hostThreads, std::size_t jobCount,
                    const std::function<std::ptrdiff_t()>& claim,
                    const std::function<void(std::size_t, sim::SimContext&)>& runOne) {
   if (jobCount == 0) return;
-  if (hostThreads == 0) {
-    hostThreads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  hostThreads = std::min<unsigned>(hostThreads, static_cast<unsigned>(jobCount));
+  hostThreads = std::min<unsigned>(hostThreadCount(hostThreads),
+                                   static_cast<unsigned>(jobCount));
 
   auto worker = [&] {
     sim::SimContext ctx;  // reused across every job this thread executes

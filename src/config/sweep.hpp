@@ -65,6 +65,10 @@ const RunResult* findResult(const std::vector<RunResult>& results,
 
 namespace detail {
 
+/// Host threads a pool asked for `requested` threads uses: `requested`, or
+/// the hardware concurrency (at least 1) when it is 0.
+unsigned hostThreadCount(unsigned requested);
+
 /// Worker-pool core shared by runSweep and the orchestrator: spin up
 /// `hostThreads` workers (0 = hardware concurrency), each owning one reused
 /// SimContext; every worker repeatedly calls `claim` for the next job index

@@ -1,15 +1,17 @@
 // The sweep path end to end: worker-pool exception capture, per-job
-// determinism across host-thread counts, the manifest orchestrator
-// (checkpoint/resume, retry classification, budgets) and the bit-identical
+// determinism across host-thread counts, the manifest orchestrator (done
+// records, resume, retry classification, budgets) and the bit-identical
 // merged-artifact guarantee an interrupted sweep must keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "config/artifact.hpp"
+#include "config/distrib.hpp"
 #include "config/orchestrator.hpp"
 #include "config/sweep.hpp"
 #include "stats/json.hpp"
@@ -40,6 +42,44 @@ std::string slurp(const std::string& path) {
 SweepManifest testManifest(const std::string& artifactDir) {
   return makeManifest(artifactDir, "typical", {"Baseline", "LockillerTM"},
                       {"counter", "bank"}, {2}, kDefaultSweepSeed);
+}
+
+/// A runner that simulates nothing: a canned Ok result that differs per job,
+/// so bookkeeping tests run many jobs in milliseconds.
+RunResult cannedResult(const JobSpec& spec, const OrchestratorOptions&,
+                       sim::SimContext&) {
+  RunResult r;
+  r.system = spec.system;
+  r.workload = spec.workload;
+  r.machine = spec.machine;
+  r.threads = spec.threads;
+  r.seed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
+  r.cycles = 1000 + r.seed % 997;
+  r.wallSeconds = 0.001 * static_cast<double>(r.seed % 7);  // zeroed by the merge
+  return r;
+}
+
+/// `jobs` distinct cells for the canned runner.
+SweepManifest cannedManifest(const std::string& artifactDir, std::size_t jobs) {
+  SweepManifest m;
+  m.artifactDir = artifactDir;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    JobRecord j;
+    j.spec = JobSpec{"Fake", "w" + std::to_string(i), "typical", 2, kDefaultSweepSeed};
+    m.jobs.push_back(j);
+  }
+  return m;
+}
+
+/// Visible (non-tmp) entries of a directory; empty when it does not exist.
+std::set<std::string> listFiles(const std::string& dir) {
+  std::set<std::string> names;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name[0] != '.') names.insert(name);
+  }
+  return names;
 }
 
 // ---------------------------------------------------------------- runSweep
@@ -254,6 +294,102 @@ TEST(Orchestrator, KillAndResumeMergesBitIdentical) {
       << "interrupted+resumed merge must be bit-identical to uninterrupted";
 }
 
+TEST(Orchestrator, ManifestNotRewrittenPerJob) {
+  const std::string dir = tempDir("no_rewrite");
+  const std::string path = dir + "/sweep.json";
+  SweepManifest m = cannedManifest(dir + "/runs", 64);
+  ASSERT_TRUE(m.save(path));
+  const std::string doneDir = claimDirFor(path) + "/done";
+
+  std::string firstBytes;
+  std::set<std::string> finished;
+  std::string previous;
+  auto runner = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                    sim::SimContext& ctx) {
+    const std::string bytes = slurp(path);
+    if (firstBytes.empty()) firstBytes = bytes;
+    EXPECT_EQ(bytes, firstBytes) << "manifest rewritten before " << spec.id();
+    // One host thread: every earlier job has finished, each with one record.
+    if (!previous.empty()) finished.insert(previous);
+    EXPECT_EQ(listFiles(doneDir), finished) << "at " << spec.id();
+    previous = jobFileStem(spec);
+    return cannedResult(spec, o, ctx);
+  };
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const OrchestratorReport rep = runManifest(m, path, opts, runner);
+  EXPECT_EQ(rep.ran, 64u);
+  EXPECT_EQ(rep.writeFailures, 0u);
+  EXPECT_TRUE(m.allOk());
+  EXPECT_EQ(finished.size(), 63u);
+  // The one save, at the end, holds every result; the records it absorbed
+  // are gone.
+  EXPECT_EQ(slurp(path), m.toJson());
+  EXPECT_FALSE(fs::exists(claimDirFor(path)));
+}
+
+TEST(Orchestrator, CrashBeforeFinalSaveResumesFromDoneRecords) {
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const std::size_t kJobs = 13;
+
+  const std::string ref = tempDir("crash_ref");
+  SweepManifest whole = cannedManifest(ref + "/runs", kJobs);
+  runManifest(whole, ref + "/sweep.json", opts, cannedResult);
+  ASSERT_TRUE(whole.allOk());
+  ASSERT_TRUE(writeMergedArtifact(whole, ref + "/merged.json"));
+
+  // Copy the whole sweep directory as job 7 starts: that is what a SIGKILL
+  // at that moment leaves on disk — the planned manifest, no final save.
+  const std::string dir = tempDir("crash_resume");
+  const std::string snapshot = dir + ".killed";
+  fs::remove_all(snapshot);
+  const std::string path = dir + "/sweep.json";
+  SweepManifest m = cannedManifest(dir + "/runs", kJobs);
+  ASSERT_TRUE(m.save(path));
+  const std::string planned = slurp(path);
+  std::size_t calls = 0;
+  auto snapshotting = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                          sim::SimContext& ctx) {
+    if (calls++ == 7) fs::copy(dir, snapshot, fs::copy_options::recursive);
+    return cannedResult(spec, o, ctx);
+  };
+  runManifest(m, path, opts, snapshotting);
+  fs::remove_all(dir);
+  fs::rename(snapshot, dir);
+  ASSERT_EQ(slurp(path), planned);
+  const std::set<std::string> done = listFiles(claimDirFor(path) + "/done");
+  ASSERT_EQ(done.size(), 7u);
+
+  SweepManifest resumed = SweepManifest::load(path);
+  auto neverTwice = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                        sim::SimContext& ctx) {
+    EXPECT_EQ(done.count(jobFileStem(spec)), 0u) << spec.id() << " ran twice";
+    return cannedResult(spec, o, ctx);
+  };
+  const OrchestratorReport rep = runManifest(resumed, path, opts, neverTwice);
+  EXPECT_EQ(rep.ran, kJobs - 7);
+  EXPECT_EQ(rep.skipped, 7u);
+  ASSERT_TRUE(resumed.allOk());
+  ASSERT_TRUE(writeMergedArtifact(resumed, dir + "/merged.json"));
+  EXPECT_EQ(slurp(dir + "/merged.json"), slurp(ref + "/merged.json"));
+}
+
+TEST(Orchestrator, UnwritableManifestIsReported) {
+  // The manifest's parent is a regular file, so neither the done records nor
+  // the final save can be written — even by root.
+  const std::string dir = tempDir("unwritable");
+  std::ofstream(dir + "/blocker") << "not a directory";
+  SweepManifest m = cannedManifest(dir + "/runs", 3);
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const OrchestratorReport rep =
+      runManifest(m, dir + "/blocker/sweep.json", opts, cannedResult);
+  EXPECT_EQ(rep.ran, 3u);
+  EXPECT_TRUE(m.allOk());
+  EXPECT_EQ(rep.writeFailures, 4u);  // 3 done records + the final save
+}
+
 TEST(Orchestrator, StaleRunningJobsRestartOnResume) {
   const std::string dir = tempDir("stale_running");
   SweepManifest m = testManifest(dir + "/runs");
@@ -465,6 +601,59 @@ TEST(Orchestrator, MergedArtifactIsValidStatsV1) {
     EXPECT_EQ(status->text, "ok");
     EXPECT_NE(run.find("seed"), nullptr);
   }
+}
+
+TEST(Orchestrator, MergeIsIndependentOfHostThreads) {
+  // 13 jobs: not a multiple of the merge window at any thread count used.
+  const std::string dir = tempDir("merge_threads");
+  SweepManifest m = cannedManifest(dir + "/runs", 13);
+  OrchestratorOptions opts;
+  opts.hostThreads = 2;
+  runManifest(m, dir + "/sweep.json", opts, cannedResult);
+  ASSERT_TRUE(m.allOk());
+  ASSERT_TRUE(writeMergedArtifact(m, dir + "/merged1.json", 1));
+  ASSERT_TRUE(writeMergedArtifact(m, dir + "/merged4.json", 4));
+  EXPECT_EQ(slurp(dir + "/merged1.json"), slurp(dir + "/merged4.json"));
+
+  // Reference: the whole document through one Writer, runs in manifest order.
+  std::ostringstream ref;
+  stats::json::Writer w(ref, /*pretty=*/true);
+  w.beginObject();
+  w.field("schema", kStatsSchema);
+  w.key("runs");
+  w.beginArray();
+  for (const JobRecord& j : m.jobs) {
+    const stats::json::Value doc = stats::json::parse(slurp(j.artifact));
+    stats::json::Value run = doc.find("runs")->array->front();
+    (*run.object)["wall_seconds"] = stats::json::parse("0");
+    stats::json::writeValue(w, run);
+  }
+  w.endArray();
+  w.endObject();
+  EXPECT_EQ(slurp(dir + "/merged4.json"), ref.str());
+}
+
+TEST(Orchestrator, FailedMergeLeavesNoPartialOrStaleOutput) {
+  const std::string dir = tempDir("merge_fail");
+  const std::string out = dir + "/merged.json";
+  SweepManifest m = cannedManifest(dir + "/runs", 9);
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  runManifest(m, "", opts, cannedResult);
+  ASSERT_TRUE(m.allOk());
+
+  const std::string intact = slurp(m.jobs[5].artifact);
+  std::ofstream(m.jobs[5].artifact, std::ios::trunc) << "{ corrupt";
+  EXPECT_FALSE(writeMergedArtifact(m, out, 2));
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_FALSE(fs::exists(out + ".tmp"));
+
+  std::ofstream(m.jobs[5].artifact, std::ios::trunc) << intact;
+  std::ofstream(out) << "previous merge";
+  fs::remove(m.jobs[7].artifact);
+  EXPECT_FALSE(writeMergedArtifact(m, out, 4));
+  EXPECT_EQ(slurp(out), "previous merge");
+  EXPECT_FALSE(fs::exists(out + ".tmp"));
 }
 
 }  // namespace

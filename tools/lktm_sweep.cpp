@@ -16,7 +16,8 @@
 // or how often they died. `work` coordinates purely through the claim spool
 // next to the manifest (<manifest>.claims by default) — point every worker
 // at the same directory (shared mount) and they divide the sweep without a
-// daemon.
+// daemon. `run` journals each finished job into the done/ directory of the
+// same spool, so `status` reports a live `run` too.
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -162,8 +163,9 @@ std::string slurpFile(const std::string& path) {
   return ss.str();
 }
 
-/// Test hook: LKTM_SWEEP_JOB_DELAY_MS=N sleeps N ms before each job so CI
-/// can reliably SIGKILL a worker mid-run. Off (0) in normal operation.
+/// Test hook: LKTM_SWEEP_JOB_DELAY_MS=N sleeps N ms before each job of `run`
+/// or `work` so CI can reliably SIGKILL a process mid-sweep. Off (0) in
+/// normal operation.
 cfg::JobRunner delayedRunner() {
   const char* env = std::getenv("LKTM_SWEEP_JOB_DELAY_MS");
   const double ms = env != nullptr ? std::atof(env) : 0.0;
@@ -283,7 +285,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: --manifest is required\n");
       return 2;
     }
-    if (wopts.claimDir.empty()) wopts.claimDir = manifestPath + ".claims";
+    if (wopts.claimDir.empty()) wopts.claimDir = cfg::claimDirFor(manifestPath);
 
     if (cmd == "plan") {
       if (artifactDir.empty()) artifactDir = manifestPath + ".d";
@@ -306,18 +308,26 @@ int main(int argc, char** argv) {
     cfg::SweepManifest m = cfg::SweepManifest::load(manifestPath);
 
     if (cmd == "run") {
-      // A claim spool means distributed workers own this manifest's state;
-      // the single-process runner would race them and clobber the file.
-      namespace fs = std::filesystem;
-      if (fs::exists(wopts.claimDir)) {
+      // Todo/claimed entries or heartbeats mean distributed workers own this
+      // manifest's state; the single-process runner would race them. A spool
+      // of done records alone is what a killed `run` leaves, and resumes.
+      const cfg::ClaimStore spool(cfg::claimDirFor(manifestPath), "run");
+      if (!spool.listTodo().empty() || !spool.listClaimed().empty() ||
+          !spool.listHeartbeats().empty()) {
         std::fprintf(stderr,
-                     "error: claim spool %s exists — this manifest is being "
-                     "executed by distributed workers; use 'work' (or "
-                     "status/merge)\n",
-                     wopts.claimDir.c_str());
+                     "error: claim spool %s is owned by distributed workers; "
+                     "use 'work' (or status/merge)\n",
+                     spool.root().c_str());
         return 2;
       }
-      const cfg::OrchestratorReport rep = cfg::runManifest(m, manifestPath, opts);
+      const cfg::OrchestratorReport rep =
+          cfg::runManifest(m, manifestPath, opts, delayedRunner());
+      if (rep.writeFailures > 0) {
+        std::fprintf(stderr,
+                     "error: %zu done record(s) or manifest save(s) could not be "
+                     "written\n",
+                     rep.writeFailures);
+      }
       if (!quiet) {
         std::printf("ran %zu, skipped %zu, retried %zu; ok %zu, failed %zu, total %zu\n",
                     rep.ran, rep.skipped, rep.retried, rep.ok, rep.failed,
@@ -327,7 +337,7 @@ int main(int argc, char** argv) {
                       m.countIn(cfg::JobState::Pending));
         }
       }
-      return m.complete() && m.allOk() ? 0 : 1;
+      return m.complete() && m.allOk() && rep.writeFailures == 0 ? 0 : 1;
     }
     if (cmd == "work") {
       if (wopts.workerId.empty()) {

@@ -10,8 +10,9 @@
 # directory path (or, on a 64-core-capped build, verify its rejection
 # diagnostic), run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
-# (interrupt + resume must merge bit-identical to an uninterrupted run, under
-# the default and sanitize builds), smoke the distributed fan-out (3 workers
+# (interrupt + resume, and a SIGKILLed live run + resume, must merge
+# bit-identical to an uninterrupted run, under the default and sanitize
+# builds), smoke the distributed fan-out (3 workers
 # on one claim spool, one SIGKILLed mid-job and reclaimed via heartbeat
 # lease, merge must cmp equal to a single-process run — default and sanitize
 # builds), smoke the database-traffic family (ycsb on the TL2 backend must
@@ -204,6 +205,58 @@ run_sweep_smoke() {
 }
 run_sweep_smoke build
 
+echo "== sweep orchestrator: SIGKILL a live run, resume from its done records =="
+run_sweep_kill_smoke() {
+  # $1 = build dir. A slowed single-process 'run' is SIGKILLed once 'status'
+  # reports 2 finished jobs (so status sees a live run, and the kill lands
+  # before run's one manifest save). The resumed run must skip those jobs,
+  # and its merge must cmp equal to an uninterrupted run's.
+  local bdir="$1" d pid ok i
+  d="$bdir/sweep_kill_check"
+  rm -rf "$d" && mkdir -p "$d/ref" "$d/kill"
+  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/ref/sweep.json" >/dev/null
+  "$bdir/tools/lktm_sweep" run --manifest "$d/ref/sweep.json" --quiet >/dev/null
+  "$bdir/tools/lktm_sweep" merge --manifest "$d/ref/sweep.json" \
+    --out "$d/ref/merged.json" >/dev/null
+
+  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/kill/sweep.json" >/dev/null
+  LKTM_SWEEP_JOB_DELAY_MS=400 "$bdir/tools/lktm_sweep" run \
+    --manifest "$d/kill/sweep.json" --host-threads 1 --quiet >/dev/null 2>&1 &
+  pid=$!
+  ok=0
+  for i in $(seq 1 200); do
+    ok="$("$bdir/tools/lktm_sweep" status --manifest "$d/kill/sweep.json" \
+      | awk '$1 == "ok" { print $2 }')"
+    [[ "${ok:-0}" -ge 2 ]] && break
+    sleep 0.05
+  done
+  kill -9 "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  [[ "${ok:-0}" -ge 2 ]] || {
+    echo "status never reported 2 ok jobs of the live run" >&2
+    return 1
+  }
+  "$bdir/tools/lktm_sweep" run --manifest "$d/kill/sweep.json" \
+    >"$d/kill/resume.txt" 2>/dev/null
+  grep -Eq "skipped ([2-7])," "$d/kill/resume.txt" || {
+    echo "resumed run did not skip the killed run's finished jobs:" >&2
+    cat "$d/kill/resume.txt" >&2
+    return 1
+  }
+  "$bdir/tools/lktm_sweep" merge --manifest "$d/kill/sweep.json" \
+    --out "$d/kill/merged.json" >/dev/null
+  cmp "$d/ref/merged.json" "$d/kill/merged.json"
+  # A heartbeat means 'work' workers own the spool: run must refuse it.
+  mkdir -p "$d/kill/sweep.json.claims/hb"
+  echo '{}' >"$d/kill/sweep.json.claims/hb/w1"
+  if "$bdir/tools/lktm_sweep" run --manifest "$d/kill/sweep.json" --quiet 2>/dev/null; then
+    echo "run accepted a claim spool owned by distributed workers" >&2
+    return 1
+  fi
+  echo "  (SIGKILLed run resumed from its done records, merged bit-identical)"
+}
+run_sweep_kill_smoke build
+
 echo "== distributed sweep: 3 workers, SIGKILL one mid-run, bit-identical merge =="
 run_distrib_smoke() {
   # $1 = build dir. The tentpole guarantee end to end: a single-process run
@@ -357,6 +410,9 @@ ctest --preset verify-sanitize
 
 echo "== sweep orchestrator: smoke + resume under ASan/UBSan =="
 run_sweep_smoke build-sanitize
+
+echo "== sweep orchestrator: SIGKILL + resume under ASan/UBSan =="
+run_sweep_kill_smoke build-sanitize
 
 echo "== distributed sweep: kill/reclaim/merge under ASan/UBSan =="
 run_distrib_smoke build-sanitize
