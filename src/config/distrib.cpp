@@ -14,8 +14,10 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stop_token>
 #include <thread>
 
+#include "config/artifact.hpp"
 #include "stats/json.hpp"
 
 namespace lktm::cfg {
@@ -73,20 +75,42 @@ bool atomicWrite(const std::string& path, const std::string& content,
   return true;
 }
 
-/// Exclusive create (seeding only): O_CREAT|O_EXCL so exactly one of any
-/// number of racing seeders materializes the entry; the rest see EEXIST and
-/// move on. All steady-state transitions use rename, not this.
-bool exclusiveCreate(const std::string& path, const std::string& content) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) return false;
+/// Write all of `content` to `fd` and close it; false on a short write.
+bool writeAndClose(int fd, const std::string& content) {
   std::size_t off = 0;
   while (off < content.size()) {
     const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
-  ::close(fd);
+  return ::close(fd) == 0 && off == content.size();
+}
+
+/// Exclusive create (seeding only): O_CREAT|O_EXCL so exactly one of any
+/// number of racing seeders materializes the entry; the rest see EEXIST and
+/// move on. All steady-state transitions use rename, not this.
+bool exclusiveCreate(const std::string& path, const std::string& content) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+  if (fd < 0) return false;
+  writeAndClose(fd, content);
   return true;
+}
+
+/// Rewrite an existing file in place; false when it does not exist. Creating
+/// a file is the spool operation that costs real time on a busy disk, so a
+/// job's spool file is created once, as its todo/ token, and after that only
+/// rewritten and renamed. Readers of claimed/ parse tolerantly, so a torn
+/// read there is harmless; done/ only ever receives complete files by rename.
+bool overwrite(const std::string& path, const std::string& content) {
+  // Set the new length first, never zero: truncating to zero makes ext4
+  // force block allocation at close (auto_da_alloc), as costly as a create.
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return false;
+  if (::ftruncate(fd, static_cast<off_t>(content.size())) != 0) {
+    ::close(fd);
+    return false;
+  }
+  return writeAndClose(fd, content);
 }
 
 std::string claimJson(const std::string& id, const std::string& worker,
@@ -190,31 +214,40 @@ void ClaimStore::init() const {
   }
 }
 
-std::size_t ClaimStore::seed(const SweepManifest& manifest) const {
+std::size_t ClaimStore::seed(const SweepManifest& manifest, bool rerunFailed) const {
+  // Which recorded outcomes are re-run: an Ok whose artifact (the result
+  // itself) is gone, and, on request, the terminal failures.
+  auto rerun = [&](JobState state, const std::string& artifact) {
+    if (state == JobState::Ok) return artifact.empty() || !fs::exists(fs::path(artifact));
+    return rerunFailed && (state == JobState::Failed || state == JobState::Hang ||
+                           state == JobState::Timeout);
+  };
   std::size_t created = 0;
   for (const JobRecord& j : manifest.jobs) {
     const std::string f = jobFileStem(j.spec);
-    if (doneExists(f) || todoExists(f) ||
-        fs::exists(fs::path(root_) / "claimed" / f)) {
+    DoneRecord d;
+    if (readDone(f, d)) {
+      // A done record carries "id" and "attempts", so it is a valid token.
+      if (rerun(d.state, d.artifact)) {
+        std::error_code ec;
+        fs::rename(fs::path(root_) / "done" / f, fs::path(root_) / "todo" / f, ec);
+        created += ec ? 0 : 1;
+      }
       continue;
     }
-    const bool okWithArtifact = j.state == JobState::Ok && !j.artifact.empty() &&
-                                fs::exists(fs::path(j.artifact));
-    const bool terminalFailure = j.state == JobState::Failed ||
-                                 j.state == JobState::Hang ||
-                                 j.state == JobState::Timeout;
-    if (okWithArtifact || terminalFailure) {
-      DoneRecord d = doneRecordOf(j, workerId_);
-      if (!okWithArtifact) d.artifact.clear();
-      created += exclusiveCreate((fs::path(root_) / "done" / f).string(),
-                                 doneJson(d))
+    if (doneExists(f) || todoExists(f) || fs::exists(fs::path(root_) / "claimed" / f)) {
+      continue;
+    }
+    if (j.state == JobState::Pending || j.state == JobState::Running ||
+        rerun(j.state, j.artifact)) {
+      created += exclusiveCreate((fs::path(root_) / "todo" / f).string(),
+                                 claimJson(j.spec.id(), "", j.attempts))
                      ? 1
                      : 0;
     } else {
-      // Pending / stale Running / Ok-with-lost-artifact: (re)run it. The
-      // token carries the cumulative attempt count forward.
-      created += exclusiveCreate((fs::path(root_) / "todo" / f).string(),
-                                 claimJson(j.spec.id(), "", j.attempts))
+      DoneRecord rec = doneRecordOf(j, workerId_);
+      if (j.state != JobState::Ok) rec.artifact.clear();
+      created += exclusiveCreate((fs::path(root_) / "done" / f).string(), doneJson(rec))
                      ? 1
                      : 0;
     }
@@ -242,17 +275,23 @@ bool ClaimStore::take(const std::string& file, ClaimRecord& out) const {
 }
 
 void ClaimStore::publishClaim(const ClaimRecord& c) const {
-  atomicWrite((fs::path(root_) / "claimed" / c.file).string(),
-              claimJson(c.id, c.worker, c.attempts), workerId_);
+  const std::string path = (fs::path(root_) / "claimed" / c.file).string();
+  const std::string content = claimJson(c.id, c.worker, c.attempts);
+  if (!overwrite(path, content)) atomicWrite(path, content, workerId_);
 }
 
 bool ClaimStore::markDone(const DoneRecord& d) const {
-  if (!atomicWrite((fs::path(root_) / "done" / d.file).string(), doneJson(d),
-                   workerId_)) {
-    return false;
-  }
+  const std::string claim = (fs::path(root_) / "claimed" / d.file).string();
+  const std::string done = (fs::path(root_) / "done" / d.file).string();
+  const std::string content = doneJson(d);
   std::error_code ec;
-  fs::remove(fs::path(root_) / "claimed" / d.file, ec);
+  // The claim file itself becomes the done record: rewritten, then renamed.
+  if (overwrite(claim, content)) {
+    fs::rename(claim, done, ec);
+    if (!ec) return true;
+  }
+  if (!atomicWrite(done, content, workerId_)) return false;
+  fs::remove(claim, ec);
   return true;
 }
 
@@ -369,10 +408,6 @@ bool ClaimStore::doneExists(const std::string& file) const {
   return fs::exists(fs::path(root_) / "done" / file);
 }
 
-std::size_t ClaimStore::doneCount() const {
-  return listDirSorted((fs::path(root_) / "done").string()).size();
-}
-
 void ClaimStore::discardTodo(const std::string& file) const {
   std::error_code ec;
   fs::remove(fs::path(root_) / "todo" / file, ec);
@@ -399,20 +434,83 @@ std::size_t foldClaimState(SweepManifest& manifest, const std::string& claimDir)
       j.state = JobState::Running;
       continue;
     }
-    if (store.todoExists(f)) j.state = JobState::Pending;
+    if (store.todoExists(f)) {
+      j.state = JobState::Pending;  // to be (re)run: no result to point at
+      j.artifact.clear();
+      j.diagnostic.clear();
+    }
   }
   return folded;
 }
 
-OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts,
-                             const OrchestratorOptions& opts,
-                             const JobRunner& runner) {
-  if (wopts.workerId.empty()) {
-    throw std::invalid_argument("runWorker: worker id must not be empty");
+namespace {
+
+/// Fill the terminal fields of `j` (state, artifact, diagnostic, wall time,
+/// cycles) from its finished run `r`. An Ok run's artifact is written to
+/// "<artifactDir>/<stem>.json" atomically (via `path + tmpSuffix`, then a
+/// rename) when `artifactDir` is set; a failed write turns the job Failed.
+void recordFinishedRun(JobRecord& j, RunResult& r, const std::string& artifactDir,
+                       const std::string& tmpSuffix) {
+  j.state = jobStateOf(r);
+  j.artifact.clear();
+  if (j.state == JobState::Ok && !artifactDir.empty()) {
+    const std::string path =
+        (fs::path(artifactDir) / (jobFileStem(j.spec) + ".json")).string();
+    if (writeStatsJsonFileAtomic(path, r, tmpSuffix)) {
+      j.artifact = path;
+    } else {
+      j.state = JobState::Failed;
+      r.status = RunStatus::Failed;
+      r.diagnostic = "cannot write artifact " + path;
+    }
   }
-  if (wopts.claimDir.empty()) {
-    throw std::invalid_argument("runWorker: claim directory must not be empty");
+  j.wallSeconds = r.wallSeconds;
+  j.cycles = r.cycles;
+  j.diagnostic = j.state == JobState::Ok ? "" : r.diagnostic;
+  if (j.state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
+    j.diagnostic = r.violations.front();
   }
+}
+
+/// A stand-in result for job `j`, which this invocation did not run:
+/// reloaded from its artifact when Ok, otherwise a Failed/Hang/Timeout
+/// result that can never pass for a real run.
+RunResult recordedResult(const JobRecord& j) {
+  RunResult r;
+  if (j.state == JobState::Ok) {
+    try {
+      return loadStatsArtifact(j.artifact);
+    } catch (const std::exception& e) {
+      r.diagnostic = std::string("exception: ") + e.what();
+    }
+  }
+  r.system = j.spec.system;
+  r.workload = j.spec.workload;
+  r.machine = j.spec.machine;
+  r.threads = j.spec.threads;
+  r.seed = j.spec.seed;
+  r.status = j.state == JobState::Hang      ? RunStatus::Hang
+             : j.state == JobState::Timeout ? RunStatus::Timeout
+                                            : RunStatus::Failed;
+  if (j.state == JobState::Pending || j.state == JobState::Running) {
+    r.diagnostic = "job not run (interrupted invocation)";
+  }
+  if (r.diagnostic.empty()) r.diagnostic = j.diagnostic;
+  return r;
+}
+
+bool isTerminal(JobState s) { return s != JobState::Pending && s != JobState::Running; }
+
+}  // namespace
+
+namespace detail {
+
+OrchestratorReport drainClaimSpool(SweepManifest& manifest, SpoolOwner owner,
+                                   const WorkerOptions& wopts,
+                                   const OrchestratorOptions& opts,
+                                   const JobRunner& runner,
+                                   std::vector<RunResult>* results) {
+  const bool shared = owner == SpoolOwner::Shared;
   const JobRunner run = runner ? runner : JobRunner(&runSpec);
   OrchestratorReport report;
 
@@ -423,11 +521,25 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
 
   const ClaimStore store(wopts.claimDir, wopts.workerId);
   store.init();
-  store.seed(manifest);
+  // A claim this owner finds at start was held by a process that is gone:
+  // any claim when the spool is exclusively ours, our own id's otherwise.
+  for (const ClaimRecord& c : store.listClaimed()) {
+    if (!shared || c.worker == wopts.workerId) store.reclaim(c.file);
+  }
+  store.seed(manifest, !shared && opts.rerunFailed);
+  foldClaimState(manifest, store.root());
 
-  // Claim preference: own shard in manifest order, then everyone else's
-  // (work stealing keeps a dead worker's slice from stranding the sweep).
-  const std::uint64_t shards = std::max<std::uint64_t>(1, manifest.shards);
+  const std::size_t total = manifest.jobs.size();
+  for (const JobRecord& j : manifest.jobs) report.skipped += isTerminal(j.state) ? 1 : 0;
+  if (results != nullptr) {
+    results->clear();
+    results->reserve(total);
+    for (const JobRecord& j : manifest.jobs) results->push_back(recordedResult(j));
+  }
+
+  // Claim preference: manifest order; a shared worker takes its own shard
+  // first and then steals (so a dead worker's slice is never stranded).
+  const std::uint64_t shards = shared ? std::max<std::uint64_t>(1, manifest.shards) : 1;
   std::size_t myShard = wopts.shard;
   if (myShard == WorkerOptions::kAutoShard) {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -439,32 +551,35 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
   } else {
     myShard %= shards;
   }
-  std::vector<std::string> stems(manifest.jobs.size());
-  std::vector<std::size_t> order;
-  order.reserve(manifest.jobs.size());
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
+  std::vector<std::string> stems(total);
+  std::vector<std::size_t> order(total);
+  for (std::size_t i = 0; i < total; ++i) {
     stems[i] = jobFileStem(manifest.jobs[i].spec);
-    if (jobShard(manifest.jobs[i].spec, shards) == myShard) order.push_back(i);
+    order[i] = i;
   }
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    if (jobShard(manifest.jobs[i].spec, shards) != myShard) order.push_back(i);
-  }
-
-  // Heartbeat thread: the claim this process holds must look alive for as
-  // long as the process is, even while a job runs for minutes.
-  std::mutex hbMu;
-  std::condition_variable hbCv;
-  bool hbStop = false;
-  store.writeHeartbeat(0);
-  std::thread hbThread([&] {
-    std::uint64_t seq = 1;
-    std::unique_lock<std::mutex> lk(hbMu);
-    const auto period = std::chrono::duration<double>(
-        std::max(0.05, wopts.heartbeatSeconds));
-    while (!hbCv.wait_for(lk, period, [&] { return hbStop; })) {
-      store.writeHeartbeat(seq++);
-    }
+  std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
+    return jobShard(manifest.jobs[i].spec, shards) == myShard;
   });
+
+  // Heartbeat thread (shared spools only): the claims this process holds
+  // must look alive for as long as it is, even while a job runs for minutes.
+  // Leaving this scope, by return or by exception, stops and joins it.
+  std::jthread heartbeat;
+  if (shared) {
+    store.writeHeartbeat(0);
+    heartbeat = std::jthread([&](const std::stop_token& stop) {
+      std::mutex mu;
+      std::condition_variable_any cv;
+      std::unique_lock<std::mutex> lock(mu);
+      const auto period =
+          std::chrono::duration<double>(std::max(0.05, wopts.heartbeatSeconds));
+      for (std::uint64_t seq = 1;; ++seq) {
+        cv.wait_for(lock, stop, period, [] { return false; });
+        if (stop.stop_requested()) return;
+        store.writeHeartbeat(seq);
+      }
+    });
+  }
 
   // Foreign-claim staleness bookkeeping: fingerprint = owner + its heartbeat
   // seq (or the raw claim content while ownerless). Reclaim only when the
@@ -476,163 +591,173 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
   };
   std::map<std::string, Watch> watched;
 
-  std::mutex mu;  // guards manifest records, report, watched, progress
+  std::mutex mu;  // guards manifest records, report, results, cursor, watched, progress
+  std::size_t cursor = 0;
   std::size_t started = 0;
-  std::size_t doneThisRun = 0;
-  std::vector<unsigned> inheritedAttempts(manifest.jobs.size(), 0);
+  const std::size_t runnable = opts.maxJobs != 0
+                                   ? std::min(total - report.skipped, opts.maxJobs)
+                                   : total - report.skipped;
+  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
   const auto t0 = std::chrono::steady_clock::now();
 
-  auto heartbeatFingerprint = [&](const ClaimRecord& c) -> std::string {
-    if (c.worker.empty()) {
-      return "unowned#" + c.id + "#" + std::to_string(c.attempts);
-    }
-    for (const HeartbeatRecord& h : store.listHeartbeats()) {
-      if (h.worker == c.worker) {
-        return c.worker + "#" + std::to_string(h.seq);
+  // One pass over the foreign claims (caller holds `mu`). Returns whether a
+  // claim went back to todo/; `waiting` says whether another live worker
+  // still holds one.
+  auto reclaimScan = [&](bool& waiting) {
+    std::map<std::string, std::uint64_t> beats;  // worker -> heartbeat seq
+    for (const HeartbeatRecord& h : store.listHeartbeats()) beats[h.worker] = h.seq;
+    const auto now = std::chrono::steady_clock::now();
+    bool reclaimed = false;
+    waiting = false;
+    for (const ClaimRecord& c : store.listClaimed()) {
+      if (c.worker == wopts.workerId) continue;  // our own pool threads
+      if (store.doneExists(c.file)) {
+        store.reclaim(c.file);  // drops the stale claim, done/ wins
+        continue;
       }
+      waiting = true;
+      const auto beat = beats.find(c.worker);
+      const std::string fp =
+          c.worker.empty() ? "unowned#" + c.id + "#" + std::to_string(c.attempts)
+          : beat == beats.end() ? c.worker + "#missing"
+                                : c.worker + "#" + std::to_string(beat->second);
+      const auto it = watched.find(c.file);
+      if (it == watched.end() || it->second.fingerprint != fp) {
+        watched[c.file] = Watch{fp, now};
+        continue;
+      }
+      const double frozen = std::chrono::duration<double>(now - it->second.since).count();
+      if (frozen < wopts.leaseSeconds) continue;
+      if (store.reclaim(c.file)) {
+        reclaimed = true;
+        if (opts.progress != nullptr) {
+          *opts.progress << "reclaimed " << c.id << " from dead worker \"" << c.worker
+                         << "\" (heartbeat frozen " << static_cast<long>(frozen) << "s)\n";
+        }
+      }
+      watched.erase(c.file);
     }
-    return c.worker + "#missing";
+    return reclaimed;
   };
 
   auto claimNext = [&]() -> std::ptrdiff_t {
+    std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
-        const std::vector<std::string> todoList = store.listTodo();
-        for (const std::size_t i : order) {
-          if (std::find(todoList.begin(), todoList.end(), stems[i]) ==
-              todoList.end()) {
-            continue;
-          }
-          if (store.doneExists(stems[i])) {
-            // Leftover token from a spurious reclaim that raced a finish;
-            // the result exists, never run it again.
-            store.discardTodo(stems[i]);
-            continue;
-          }
-          ClaimRecord c;
-          if (store.take(stems[i], c)) {
-            watched.erase(stems[i]);
-            inheritedAttempts[i] = c.attempts;
-            ++started;
-            return static_cast<std::ptrdiff_t>(i);
-          }
+      if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
+      while (cursor < order.size()) {
+        const std::size_t i = order[cursor++];
+        ClaimRecord c;
+        if (!store.take(stems[i], c)) continue;  // not in todo/: done, or someone's
+        if (store.doneExists(stems[i])) {
+          // A token a spurious reclaim returned while its job finished: the
+          // result exists, never run it again.
+          store.reclaim(stems[i]);
+          continue;
         }
-        // Nothing takeable: look for claims whose owner stopped heartbeating.
-        const auto now = std::chrono::steady_clock::now();
-        bool reclaimed = false;
-        for (const ClaimRecord& c : store.listClaimed()) {
-          if (c.worker == wopts.workerId) continue;  // our own pool threads
-          if (store.doneExists(c.file)) {
-            store.reclaim(c.file);  // drops the stale claim, done/ wins
-            continue;
-          }
-          const std::string fp = heartbeatFingerprint(c);
-          const auto it = watched.find(c.file);
-          if (it == watched.end() || it->second.fingerprint != fp) {
-            watched[c.file] = Watch{fp, now};
-            continue;
-          }
-          const double frozen =
-              std::chrono::duration<double>(now - it->second.since).count();
-          if (frozen >= wopts.leaseSeconds) {
-            if (store.reclaim(c.file)) {
-              reclaimed = true;
-              if (opts.progress != nullptr) {
-                *opts.progress << "reclaimed " << c.id << " from dead worker \""
-                               << c.worker << "\" (heartbeat frozen "
-                               << static_cast<long>(frozen) << "s)\n";
-              }
-            }
-            watched.erase(c.file);
-          }
-        }
-        if (reclaimed) continue;
-        if (store.doneCount() >= manifest.jobs.size()) return -1;
+        watched.erase(stems[i]);
+        manifest.jobs[i].attempts = c.attempts;  // inherited budget
+        ++started;
+        return static_cast<std::ptrdiff_t>(i);
       }
+      if (!shared) return -1;  // nothing else can put a job back into todo/
+      // Restart the cursor when a claim came back, or when another worker
+      // returned or seeded a token behind it.
+      bool waiting = false;
+      if (reclaimScan(waiting) || !store.listTodo().empty()) {
+        cursor = 0;
+        continue;
+      }
+      if (!waiting) return -1;  // every job is done or held by our threads
+      lock.unlock();
       std::this_thread::sleep_for(
           std::chrono::duration<double>(std::max(0.01, wopts.pollSeconds)));
+      lock.lock();
     }
   };
 
   auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
-    const JobSpec spec = manifest.jobs[i].spec;
-    unsigned attempts = inheritedAttempts[i];
-    auto beginAttempt = [&]() -> unsigned {
+    JobRecord done;
+    {
       std::lock_guard<std::mutex> lock(mu);
-      ++attempts;
+      done = manifest.jobs[i];
+    }
+    const JobSpec& spec = done.spec;
+    auto beginAttempt = [&]() -> unsigned {
       // Keep the published claim's attempt count current so a reclaim after
-      // OUR death hands the next owner the true remaining budget.
-      store.publishClaim(ClaimRecord{stems[i], spec.id(), wopts.workerId, attempts});
-      return attempts;
+      // our death hands the next owner the true remaining budget.
+      ++done.attempts;
+      store.publishClaim(ClaimRecord{stems[i], spec.id(), wopts.workerId, done.attempts});
+      return done.attempts;
     };
     auto onRetry = [&](unsigned attempt, const RunResult& failed) {
       std::lock_guard<std::mutex> lock(mu);
       ++report.retried;
       if (opts.progress != nullptr) {
-        *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
-                       << "/" << std::max(1u, opts.maxAttempts)
-                       << "): " << failed.diagnostic << "\n";
+        *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1) << "/"
+                       << maxAttempts << "): " << failed.diagnostic << "\n";
       }
     };
-    RunResult r =
-        detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt, onRetry);
+    RunResult r = detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt, onRetry);
 
-    JobRecord done;
-    done.spec = spec;
-    done.attempts = attempts;
-    detail::recordFinishedRun(done, r, manifest.artifactDir, ".tmp-" + wopts.workerId);
+    // Both writes happen outside the lock: the artifact is renamed into place
+    // first, so a done record never names a missing or torn file.
+    recordFinishedRun(done, r, manifest.artifactDir, ".tmp-" + wopts.workerId);
+    const bool recorded = store.markDone(doneRecordOf(done, wopts.workerId));
 
     std::lock_guard<std::mutex> lock(mu);
+    if (!recorded) {
+      ++report.writeFailures;
+      std::cerr << "error: cannot write the done record of " << spec.id() << " under "
+                << store.root() << "\n";
+    }
     manifest.jobs[i] = done;
-    store.markDone(doneRecordOf(done, wopts.workerId));
+    if (results != nullptr) (*results)[i] = std::move(r);
     ++report.ran;
-    ++doneThisRun;
     if (opts.progress != nullptr) {
-      const std::size_t doneGlobal = store.doneCount();
+      // Counted in memory: jobs other workers finish meanwhile are not seen.
       const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      const std::size_t left =
-          manifest.jobs.size() > doneGlobal ? manifest.jobs.size() - doneGlobal : 0;
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      const std::size_t left = runnable > report.ran ? runnable - report.ran : 0;
+      // Zero measured wall time means there is no rate to extrapolate from —
+      // print "--" rather than a bogus "eta 0s".
       char etaStr[32];
-      if (doneThisRun > 0 && elapsed > 0.0) {
+      if (elapsed > 0.0) {
         std::snprintf(etaStr, sizeof(etaStr), "%.0fs",
-                      elapsed / static_cast<double>(doneThisRun) *
-                          static_cast<double>(left));
+                      elapsed / static_cast<double>(report.ran) * static_cast<double>(left));
       } else {
         std::snprintf(etaStr, sizeof(etaStr), "--");
       }
       char line[256];
       std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
-                    doneGlobal, manifest.jobs.size(), spec.id().c_str(),
+                    report.skipped + report.ran, total, spec.id().c_str(),
                     toString(done.state), done.wallSeconds, etaStr);
       *opts.progress << line;
     }
   };
 
-  detail::runWorkerPool(opts.hostThreads, manifest.jobs.size(), claimNext, runOne);
+  detail::runWorkerPool(opts.hostThreads, total - report.skipped, claimNext, runOne);
 
-  {
-    std::lock_guard<std::mutex> lock(hbMu);
-    hbStop = true;
-  }
-  hbCv.notify_all();
-  hbThread.join();
-
-  // Fold the whole spool back so the caller's manifest reflects every
-  // worker's results, not just ours.
-  foldClaimState(manifest, wopts.claimDir);
+  // Fold the whole spool back so the manifest reflects every worker's
+  // results, not just ours.
+  foldClaimState(manifest, store.root());
   for (const JobRecord& j : manifest.jobs) {
     if (j.state == JobState::Ok) ++report.ok;
-    if (j.state == JobState::Failed || j.state == JobState::Hang ||
-        j.state == JobState::Timeout) {
-      ++report.failed;
-    }
+    if (isTerminal(j.state) && j.state != JobState::Ok) ++report.failed;
   }
-  report.skipped = manifest.jobs.size() - report.ran;
   return report;
+}
+
+}  // namespace detail
+
+OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts,
+                             const OrchestratorOptions& opts, const JobRunner& runner) {
+  if (wopts.workerId.empty()) {
+    throw std::invalid_argument("runWorker: worker id must not be empty");
+  }
+  if (wopts.claimDir.empty()) {
+    throw std::invalid_argument("runWorker: claim directory must not be empty");
+  }
+  return detail::drainClaimSpool(manifest, detail::SpoolOwner::Shared, wopts, opts, runner);
 }
 
 }  // namespace lktm::cfg

@@ -9,7 +9,7 @@
 //
 //     todo/<stem>      --take-->      claimed/<stem>     (exactly one winner)
 //     claimed/<stem>   --reclaim-->   todo/<stem>        (exactly one winner)
-//     claimed/<stem>   --finish-->    done/<stem> written, claimed/ removed
+//     claimed/<stem>   --finish-->    done/<stem>        (rewritten, renamed)
 //
 // Claim contents travel with the rename: a token carries the cumulative
 // attempt count, so a job reclaimed from a dead worker resumes its retry
@@ -31,11 +31,19 @@
 // many workers ran, where, or how often they died. done/ beats claimed/
 // whenever both exist (a worker died between finishing and unclaiming).
 //
-// The single-process `lktm_sweep run` (runManifest) journals into the same
-// done/ directory in the same DoneRecord format, but never creates todo/,
-// claimed/ or heartbeat entries. So status and merge read a live or killed
-// `run` exactly like a distributed sweep, and a spool holding only done
-// records is one `run` may resume.
+// The spool is the only record of job state, and one claim -> run -> finish
+// loop (detail::drainClaimSpool) serves both entry points. They differ only
+// in ownership policy:
+//
+//   * `lktm_sweep work` (runWorker) shares the spool: it heartbeats, prefers
+//     its shard, and reclaims claims whose owner's heartbeat froze.
+//   * `lktm_sweep run` (runManifest) owns the spool exclusively: no
+//     heartbeat, and every claimed/ entry it finds at start was held by a
+//     killed `run`, so it goes straight back to todo/ with no lease to wait
+//     out. Its manifest is saved once at the end and the spool then removed.
+//
+// So status and merge read a live or killed `run` exactly like a
+// distributed sweep, and either entry point resumes what the other left.
 //
 // Shard assignment is pure computation, not state: jobShard() keys on the
 // same manifest identity that feeds jobRunSeed, so every worker derives the
@@ -109,10 +117,14 @@ class ClaimStore {
 
   /// Ensure every manifest job has a spool entry: terminal jobs (Ok with a
   /// live artifact, or failed/hang/timeout) get a done/ record, everything
-  /// else a todo/ token. Entries that already exist anywhere are left alone,
-  /// so seeding is idempotent and races between workers are harmless.
-  /// Returns the number of entries this call created.
-  std::size_t seed(const SweepManifest& manifest) const;
+  /// else (pending, a stale running marker, Ok with a lost artifact) a todo/
+  /// token that carries the attempt count forward. An existing done/ record
+  /// of an Ok job whose artifact is gone is renamed back to todo/, and so is
+  /// a failed/hang/timeout one when `rerunFailed` is set; every other
+  /// existing entry is left alone, so seeding is idempotent and races
+  /// between workers are harmless. Returns the number of entries this call
+  /// created or moved.
+  std::size_t seed(const SweepManifest& manifest, bool rerunFailed = false) const;
 
   /// Claim todo/<file> by renaming it into claimed/. On the win, `out` holds
   /// the inherited attempt count and the claim file has been republished
@@ -120,13 +132,15 @@ class ClaimStore {
   /// token vanished).
   bool take(const std::string& file, ClaimRecord& out) const;
 
-  /// Republish claimed/<file> content (owner + attempts). Only the owner
-  /// should call this.
+  /// Republish claimed/<file> content (owner + attempts), in place when the
+  /// claim file exists. Only the owner should call this.
   void publishClaim(const ClaimRecord& c) const;
 
-  /// Record a terminal state: write done/<file> atomically, then drop the
-  /// claim. Safe against concurrent duplicate executions — last writer wins
-  /// with equivalent content.
+  /// Record a terminal state: rewrite the claim file as the done record and
+  /// rename it to done/<file> (or, with no claim file, write done/<file>
+  /// atomically). Either way done/ only ever receives a complete file. Safe
+  /// against concurrent duplicate executions — last writer wins with
+  /// equivalent content. Returns false when no done record could be written.
   bool markDone(const DoneRecord& d) const;
 
   /// Return claimed/<file> to todo/ (dead-owner reclamation). When a done/
@@ -145,7 +159,6 @@ class ClaimStore {
   std::vector<HeartbeatRecord> listHeartbeats() const;
   bool todoExists(const std::string& file) const;
   bool doneExists(const std::string& file) const;
-  std::size_t doneCount() const;
   /// Parse one done/<file> record; returns false when absent/malformed.
   bool readDone(const std::string& file, DoneRecord& out) const;
 
@@ -177,13 +190,16 @@ struct WorkerOptions {
   std::size_t shard = kAutoShard;
 };
 
-/// Execute `manifest` as one worker of a distributed sweep: seed the spool,
-/// pull claims (own shard first, then steal), run each job with the shared
-/// PR-5 retry/backoff rules, write per-job artifacts atomically, mark jobs
-/// done, heartbeat throughout, and reclaim jobs from dead workers. Returns
-/// when every job has a done/ record (or opts.maxJobs claims were taken).
-/// The manifest is an in-memory view — distributed state lives in the spool;
-/// on return the manifest has been folded up to date (foldClaimState).
+/// Execute `manifest` as one worker of a distributed sweep: the shared
+/// policy of detail::drainClaimSpool. Claims left under this worker's own id
+/// by an earlier process go back to todo/ at start; claims of other workers
+/// are reclaimed once their owner's heartbeat froze for wopts.leaseSeconds.
+/// Returns when nothing is left to take and no other worker holds a claim
+/// (or opts.maxJobs claims were taken). The manifest is an in-memory view —
+/// distributed state lives in the spool; on return the manifest has been
+/// folded up to date (foldClaimState). opts.rerunFailed is not honoured:
+/// every joining worker seeds, so it would re-run jobs other workers just
+/// finished.
 OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts,
                              const OrchestratorOptions& opts = {},
                              const JobRunner& runner = {});
@@ -194,5 +210,36 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
 /// their manifest state. Returns the number of jobs updated from done/.
 /// No-op (returns 0) when `claimDir` does not exist.
 std::size_t foldClaimState(SweepManifest& manifest, const std::string& claimDir);
+
+namespace detail {
+
+/// Who owns a claim spool while detail::drainClaimSpool runs on it.
+enum class SpoolOwner : std::uint8_t {
+  Exclusive,  ///< `run`: no heartbeat, no lease, every claim found is stale
+  Shared,     ///< `work`: heartbeat, shard preference, lease-based reclaim
+};
+
+/// The one claim -> run-with-retries -> finish loop. Creates and seeds the
+/// spool at wopts.claimDir (the Exclusive owner with opts.rerunFailed),
+/// returns stale claims to todo/ (all of them when Exclusive, those under
+/// wopts.workerId when Shared), folds the spool into `manifest`, then runs
+/// jobs on opts.hostThreads threads. Each claim is a direct rename attempt
+/// in preference order (manifest order; own shard first when Shared) from a
+/// cursor that restarts only after a reclaim, or when an idle Shared worker
+/// finds todo/ non-empty (another worker returned or seeded a token behind
+/// it); a finished job writes its
+/// artifact and then its done record outside the lock, and a done record
+/// that cannot be written counts in writeFailures. Progress is counted in
+/// memory. On return the spool has been folded into `manifest` again. When
+/// `results` is non-null it receives one RunResult per job in manifest
+/// order: the run's own for jobs run now, reloaded from the artifact for
+/// jobs already Ok, a Failed stand-in otherwise.
+OrchestratorReport drainClaimSpool(SweepManifest& manifest, SpoolOwner owner,
+                                   const WorkerOptions& wopts,
+                                   const OrchestratorOptions& opts,
+                                   const JobRunner& runner,
+                                   std::vector<RunResult>* results = nullptr);
+
+}  // namespace detail
 
 }  // namespace lktm::cfg

@@ -1,8 +1,10 @@
 #include "config/orchestrator.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -24,11 +26,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using stats::json::Value;
-
-// Wall clock for the operator-facing progress/ETA line only; job scheduling,
-// seeds and artifacts are pure functions of the manifest.
-// lktm-lint: allow(no-wall-clock) -- progress/ETA display only
-using WallClock = std::chrono::steady_clock;
 
 /// Diagnostic prefix marking a TransientJobError capture; isTransientFailure
 /// keys on it so scripted runners returning (not throwing) a transient
@@ -270,7 +267,7 @@ bool isTransientFailure(const RunResult& r) {
   return false;
 }
 
-namespace detail {
+namespace {
 
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx) {
@@ -296,6 +293,10 @@ RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
   }
 }
 
+}  // namespace
+
+namespace detail {
+
 RunResult runJobWithRetries(
     const JobSpec& spec, const OrchestratorOptions& opts, const JobRunner& run,
     sim::SimContext& ctx, const std::function<unsigned()>& beginAttempt,
@@ -320,207 +321,48 @@ RunResult runJobWithRetries(
   }
 }
 
-void recordFinishedRun(JobRecord& j, RunResult& r, const std::string& artifactDir,
-                       const std::string& tmpSuffix) {
-  j.state = jobStateOf(r);
-  j.artifact.clear();
-  if (j.state == JobState::Ok && !artifactDir.empty()) {
-    const std::string path =
-        (fs::path(artifactDir) / (jobFileStem(j.spec) + ".json")).string();
-    if (writeStatsJsonFileAtomic(path, r, tmpSuffix)) {
-      j.artifact = path;
-    } else {
-      j.state = JobState::Failed;
-      r.status = RunStatus::Failed;
-      r.diagnostic = "cannot write artifact " + path;
-    }
-  }
-  j.wallSeconds = r.wallSeconds;
-  j.cycles = r.cycles;
-  j.diagnostic = j.state == JobState::Ok ? "" : r.diagnostic;
-  if (j.state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
-    j.diagnostic = r.violations.front();
-  }
-}
-
 }  // namespace detail
 
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
                                const OrchestratorOptions& opts, const JobRunner& runner,
                                std::vector<RunResult>* results) {
-  const JobRunner run = runner ? runner : JobRunner(&runSpec);
-  OrchestratorReport report;
-
-  if (!manifest.artifactDir.empty()) {
+  // `run` owns its spool: the manifest's own, or a private temporary one when
+  // there is no manifest file or its spool cannot be created.
+  WorkerOptions owner;
+  owner.workerId = "run";
+  bool durable = !manifestPath.empty();
+  if (durable) {
+    owner.claimDir = claimDirFor(manifestPath);
+    try {
+      ClaimStore(owner.claimDir, owner.workerId).init();
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      durable = false;
+    }
+  }
+  if (!durable) {
+    static std::atomic<std::uint64_t> privateSpools{0};
+    owner.claimDir = (fs::temp_directory_path() /
+                      ("lktm-run-" + std::to_string(::getpid()) + "-" +
+                       std::to_string(privateSpools.fetch_add(1))))
+                         .string();
     std::error_code ec;
-    fs::create_directories(manifest.artifactDir, ec);
+    fs::remove_all(owner.claimDir, ec);  // left by a killed process of the same pid
   }
 
-  // Finished jobs are journaled as done records in the claim spool; the
-  // manifest file itself is written once, at the end. Records left by an
-  // invocation that died before its final save are the newest state, so they
-  // are folded in before normalizing.
-  const bool persist = !manifestPath.empty();
-  const ClaimStore spool(persist ? claimDirFor(manifestPath) : "", "run");
-  if (persist) {
-    foldClaimState(manifest, spool.root());
+  OrchestratorReport report = detail::drainClaimSpool(
+      manifest, detail::SpoolOwner::Exclusive, owner, opts, runner, results);
+
+  // The manifest now says everything the spool did. Save it once; the spool
+  // stays only when it is the sole copy of the results (the save failed).
+  const bool saved = manifestPath.empty() || manifest.save(manifestPath);
+  if (!manifestPath.empty() && !durable) {
+    report.writeFailures += report.ran;  // no done record reached the manifest's spool
+  }
+  if (!saved) ++report.writeFailures;
+  if (saved || !durable) {
     std::error_code ec;
-    fs::create_directories(fs::path(spool.root()) / "done", ec);  // markDone reports failure
-  }
-
-  // Normalize stale state from a previous (possibly killed) invocation.
-  std::vector<std::size_t> runnable;
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    JobRecord& j = manifest.jobs[i];
-    if (j.state == JobState::Running) j.state = JobState::Pending;
-    if (j.state == JobState::Ok &&
-        (j.artifact.empty() || !fs::exists(fs::path(j.artifact)))) {
-      j.state = JobState::Pending;  // artifact lost; the result is gone with it
-      j.artifact.clear();
-    }
-    if (opts.rerunFailed &&
-        (j.state == JobState::Failed || j.state == JobState::Hang ||
-         j.state == JobState::Timeout)) {
-      j.state = JobState::Pending;
-      j.diagnostic.clear();
-    }
-    if (j.state == JobState::Pending) {
-      runnable.push_back(i);
-    } else {
-      ++report.skipped;
-    }
-  }
-
-  std::mutex mu;  // guards the in-memory records, report, results and progress
-  std::vector<char> ranNow(manifest.jobs.size(), 0);
-  std::size_t started = 0;
-  std::size_t claimCursor = 0;
-  std::size_t doneThisRun = 0;
-  const auto t0 = WallClock::now();
-
-  auto claim = [&]() -> std::ptrdiff_t {
-    std::lock_guard<std::mutex> lock(mu);
-    if (claimCursor >= runnable.size()) return -1;
-    if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
-    ++started;
-    return static_cast<std::ptrdiff_t>(runnable[claimCursor++]);
-  };
-
-  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
-
-  auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
-    JobRecord done = manifest.jobs[i];  // job i is this thread's until it is done
-    const JobSpec& spec = done.spec;
-    auto beginAttempt = [&]() -> unsigned { return ++done.attempts; };
-    auto onRetry = [&](unsigned attempt, const RunResult& failed) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++report.retried;
-      if (opts.progress != nullptr) {
-        *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
-                       << "/" << maxAttempts << "): " << failed.diagnostic << "\n";
-      }
-    };
-    RunResult r = detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt,
-                                            onRetry);
-
-    // Both writes happen outside the lock: the artifact is renamed into place
-    // first, so a done record never names a missing or torn file.
-    detail::recordFinishedRun(done, r, manifest.artifactDir, ".tmp");
-    const bool recorded = !persist || spool.markDone(doneRecordOf(done, "run"));
-
-    std::lock_guard<std::mutex> lock(mu);
-    if (!recorded) {
-      ++report.writeFailures;
-      std::cerr << "error: cannot write the done record of " << spec.id() << " under "
-                << spool.root() << "\n";
-    }
-    manifest.jobs[i] = done;
-    if (results != nullptr) (*results)[i] = std::move(r);
-    ranNow[i] = 1;
-    ++report.ran;
-    ++doneThisRun;
-    if (opts.progress != nullptr) {
-      const std::size_t terminalTotal = report.skipped + doneThisRun;
-      const double elapsed =
-          std::chrono::duration<double>(WallClock::now() - t0).count();
-      const std::size_t target =
-          opts.maxJobs != 0 ? std::min(runnable.size(), opts.maxJobs) : runnable.size();
-      const std::size_t left = target > doneThisRun ? target - doneThisRun : 0;
-      // No completed jobs or zero measured wall time means there is no rate
-      // to extrapolate from — print "--" rather than a bogus "eta 0s".
-      char etaStr[32];
-      if (doneThisRun > 0 && elapsed > 0.0) {
-        std::snprintf(etaStr, sizeof(etaStr), "%.0fs",
-                      elapsed / static_cast<double>(doneThisRun) *
-                          static_cast<double>(left));
-      } else {
-        std::snprintf(etaStr, sizeof(etaStr), "--");
-      }
-      char line[256];
-      std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
-                    terminalTotal, manifest.jobs.size(), spec.id().c_str(),
-                    toString(done.state), done.wallSeconds, etaStr);
-      *opts.progress << line;
-    }
-  };
-
-  if (results != nullptr) {
-    results->clear();
-    results->resize(manifest.jobs.size());
-  }
-
-  detail::runWorkerPool(opts.hostThreads, runnable.size(), claim, runOne);
-
-  // Hand back the complete result set: skipped-Ok jobs reload from their
-  // artifacts so figure code sees a resumed sweep exactly like a fresh one.
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    const JobRecord& j = manifest.jobs[i];
-    if (j.state == JobState::Ok) ++report.ok;
-    if (j.state == JobState::Failed || j.state == JobState::Hang ||
-        j.state == JobState::Timeout) {
-      ++report.failed;
-    }
-    if (results == nullptr || ranNow[i] != 0) continue;
-    RunResult& slot = (*results)[i];
-    if (j.state == JobState::Ok) {
-      try {
-        slot = loadStatsArtifact(j.artifact);
-        continue;
-      } catch (const std::exception& e) {
-        slot.diagnostic = std::string("exception: ") + e.what();
-        slot.status = RunStatus::Failed;
-      }
-    }
-    slot.system = j.spec.system;
-    slot.workload = j.spec.workload;
-    slot.machine = j.spec.machine;
-    slot.threads = j.spec.threads;
-    slot.seed = j.spec.seed;
-    if (j.state == JobState::Hang) slot.status = RunStatus::Hang;
-    if (j.state == JobState::Timeout) slot.status = RunStatus::Timeout;
-    if (j.state == JobState::Failed) slot.status = RunStatus::Failed;
-    if (j.state == JobState::Pending || j.state == JobState::Running) {
-      // maxJobs interrupted the invocation before this job ran; make sure the
-      // placeholder can never pass for a real result.
-      slot.status = RunStatus::Failed;
-      slot.diagnostic = "job not run (interrupted invocation)";
-    }
-    if (slot.diagnostic.empty()) slot.diagnostic = j.diagnostic;
-  }
-
-  if (persist) {
-    if (!manifest.save(manifestPath)) {
-      ++report.writeFailures;  // the done records stay: they are the only copy
-    } else {
-      // The saved manifest now says everything the done records did. Drop
-      // them, so a later `plan` over this path starts from a clean slate.
-      std::error_code ec;
-      for (const JobRecord& j : manifest.jobs) {
-        fs::remove(fs::path(spool.root()) / "done" / jobFileStem(j.spec), ec);
-      }
-      fs::remove(fs::path(spool.root()) / "done", ec);  // only if now empty
-      fs::remove(spool.root(), ec);
-    }
+    fs::remove_all(owner.claimDir, ec);
   }
   return report;
 }

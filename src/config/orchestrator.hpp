@@ -3,13 +3,13 @@
 // described by a persistent manifest ("lktm.manifest.v2", written through the
 // same JSON layer as the stats artifacts) recording every job's spec, seed,
 // state, attempt count and artifact path. runManifest() executes the pending
-// jobs and writes one lktm.stats.v1 artifact per job. Each finished job is
-// journaled as one done record in the manifest's claim spool
-// ("<manifest>.claims/done/<stem>") — the format `lktm_sweep work` writes and
-// status/merge fold (config/distrib.hpp) — and the manifest file itself is
-// written once, at the end. Bookkeeping therefore costs O(1) per job, and a
-// killed sweep still resumes exactly where it stopped, skipping completed
-// jobs.
+// jobs and writes one lktm.stats.v1 artifact per job. While it runs, job
+// state lives only in the manifest's claim spool ("<manifest>.claims"): it
+// is the exclusive-owner policy of the loop `lktm_sweep work` shares
+// (config/distrib.hpp), so each finished job costs one done record, and the
+// manifest file itself is written once, at the end. Bookkeeping therefore
+// costs O(1) per job, and a killed sweep still resumes exactly where it
+// stopped, skipping completed jobs.
 //
 // Determinism contract (regression-tested): an interrupted-and-resumed sweep
 // produces a merged artifact bit-identical to an uninterrupted one, at any
@@ -51,7 +51,7 @@ class TransientJobError : public std::runtime_error {
 /// Manifest-side job lifecycle. Pending/Running are orchestration states; the
 /// terminal states mirror RunStatus (with Failed also covering invariant
 /// violations). A Running entry found on load is a stale marker from a killed
-/// sweep and is normalized back to Pending.
+/// sweep; seeding the claim spool turns it back into a todo/ token.
 enum class JobState : std::uint8_t { Pending, Running, Ok, Failed, Hang, Timeout };
 
 const char* toString(JobState s);
@@ -135,7 +135,8 @@ struct OrchestratorOptions {
   /// invocation (0 = unlimited). The rest stay Pending in the manifest —
   /// this is how the kill-and-resume tests interrupt a sweep exactly.
   std::size_t maxJobs = 0;
-  /// Also re-run jobs already recorded as Failed/Hang/Timeout.
+  /// Also re-run jobs already recorded as Failed/Hang/Timeout (runManifest
+  /// only; see runWorker).
   bool rerunFailed = false;
   /// Live progress lines ("[done/total] id: state ... eta Ns"), one per
   /// completed job. Null = silent.
@@ -172,18 +173,20 @@ struct OrchestratorReport {
   std::size_t writeFailures = 0;
 };
 
-/// Execute a manifest: fold in the done records an earlier, killed invocation
-/// left in claimDirFor(manifestPath), normalize stale state (Running ->
-/// Pending, Ok with a missing artifact file -> Pending), run every pending job
-/// on the worker pool and retry transient failures with backoff. A finished
-/// job renames its artifact into place, then writes its done record; neither
-/// write holds the pool's lock. The manifest is saved once, at the end, after
-/// which the done records are removed. When `manifestPath` is empty the
-/// manifest is kept in memory only (no spool, no save). When `results` is
-/// non-null it receives one RunResult per job in manifest order — loaded from
-/// the artifact for skipped-Ok jobs, so a resumed sweep still hands the figure
-/// code the complete result set. The spool must not be shared with
-/// `lktm_sweep work` workers.
+/// Execute a manifest as the exclusive owner of its claim spool
+/// (claimDirFor(manifestPath)): return every claim a killed invocation held
+/// to todo/, seed the spool (a stale Running job or an Ok job with a missing
+/// artifact gets a todo/ token; so does a failed/hang/timeout job under
+/// opts.rerunFailed), then run the shared claim -> run -> finish loop
+/// (detail::drainClaimSpool), retrying transient failures with backoff. The
+/// manifest is saved once, at the end, after which the spool is removed; a
+/// failed save keeps it, as the only copy of the results. When
+/// `manifestPath` is empty, or its spool cannot be created, the loop runs on
+/// a private temporary spool that is removed afterwards (the latter also
+/// counts each job run as a write failure). When `results` is non-null it
+/// receives one RunResult per job in manifest order — loaded from the
+/// artifact for skipped-Ok jobs, so a resumed sweep still hands the figure
+/// code the complete result set.
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
                                const OrchestratorOptions& opts = {},
                                const JobRunner& runner = {},
@@ -213,30 +216,19 @@ SweepManifest makeManifest(const std::string& artifactDir,
 
 namespace detail {
 
-/// One attempt of `run` with every escape hatch closed: TransientJobError,
-/// std::exception and non-standard throws all come back as a Failed result
-/// keyed by the spec (transient throws keep their retryable classification
-/// via the diagnostic prefix isTransientFailure() keys on).
-RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
-                         const JobRunner& run, sim::SimContext& ctx);
-
-/// The PR-5 retry contract, shared by the in-process orchestrator and the
-/// distributed worker: run until Ok, a deterministic failure, or the attempt
-/// count reaches opts.maxAttempts; transient failures back off exponentially
-/// between attempts. `beginAttempt` hands out the (cumulative, possibly
-/// claim-inherited) 1-based attempt number under the caller's lock;
+/// The retry contract of the claim loop (detail::drainClaimSpool): run until
+/// Ok, a deterministic failure, or the attempt count reaches
+/// opts.maxAttempts; transient failures back off exponentially between
+/// attempts. Every attempt has every escape hatch closed: TransientJobError,
+/// std::exception and non-standard throws come back as a Failed result keyed
+/// by the spec (transient throws keep their retryable classification via the
+/// diagnostic prefix isTransientFailure() keys on). `beginAttempt` hands out
+/// the (cumulative, possibly claim-inherited) 1-based attempt number;
 /// `onRetry(attempt, r)` fires before each extra attempt (may be null).
 RunResult runJobWithRetries(
     const JobSpec& spec, const OrchestratorOptions& opts, const JobRunner& run,
     sim::SimContext& ctx, const std::function<unsigned()>& beginAttempt,
     const std::function<void(unsigned, const RunResult&)>& onRetry);
-
-/// Fill the terminal fields of `j` (state, artifact, diagnostic, wall time,
-/// cycles) from its finished run `r`. An Ok run's artifact is written to
-/// "<artifactDir>/<stem>.json" atomically (via `path + tmpSuffix`, then a
-/// rename) when `artifactDir` is set; a failed write turns the job Failed.
-void recordFinishedRun(JobRecord& j, RunResult& r, const std::string& artifactDir,
-                       const std::string& tmpSuffix);
 
 }  // namespace detail
 

@@ -17,7 +17,6 @@ constexpr const char* kRuleWallClock = "no-wall-clock";
 constexpr const char* kRuleUnordered = "no-unordered-iteration";
 constexpr const char* kRuleRandom = "no-unseeded-randomness";
 constexpr const char* kRulePtrOrder = "no-pointer-order";
-constexpr const char* kRuleRetired = "no-retired-symbols";
 constexpr const char* kRuleStatPath = "stat-path-literal";
 constexpr const char* kRuleSuppression = "suppression-needs-reason";
 
@@ -40,13 +39,6 @@ constexpr std::array<std::string_view, 4> kWallClockAllowedFiles = {
 constexpr std::array<std::string_view, 7> kClockIdents = {
     "system_clock", "high_resolution_clock", "gettimeofday", "clock_gettime",
     "timespec_get", "localtime",             "gmtime"};
-
-/// Member fields of the retired ProtocolCounters struct; spelled out in full
-/// so the legitimate MachineParams::protocol latency knobs
-/// (m.protocol.llcLatency) never match — the bug the PR-6 grep gate had.
-constexpr std::array<std::string_view, 8> kRetiredProtocolFields = {
-    "messages", "dataMessages", "flitHops",   "l1Hits",
-    "l1Misses", "llcHits",      "llcMisses",  "writebacks"};
 
 bool pathMatches(const std::string& relPath, std::string_view file) {
   if (relPath == file) return true;
@@ -251,35 +243,6 @@ struct FileLinter {
     }
   }
 
-  void ruleRetired() {
-    if (!active(kRuleRetired)) return;
-    for (std::size_t i = 0; i < sf.tokens.size(); ++i) {
-      const Token& t = sf.tokens[i];
-      if (t.kind != Tok::Ident) continue;
-      if (t.text == "TxCounters" || t.text == "ProtocolCounters" ||
-          t.text == "BreakdownSummary") {
-        emit(t.line, kRuleRetired);
-        continue;
-      }
-      // Member chains of the retired structs: `.tx.` and `.protocol.<field>`
-      // where <field> is one of the raw counters, spelled out in full.
-      if (!isPunct(i - 1, ".") && !isPunct(i - 1, "->")) continue;
-      if (t.text == "tx" && isPunct(i + 1, ".")) {
-        emit(t.line, kRuleRetired);
-        continue;
-      }
-      if (t.text == "protocol" && isPunct(i + 1, ".") &&
-          tk(i + 2).kind == Tok::Ident) {
-        for (const std::string_view f : kRetiredProtocolFields) {
-          if (tk(i + 2).text == f) {
-            emit(t.line, kRuleRetired);
-            break;
-          }
-        }
-      }
-    }
-  }
-
   void ruleStatPath() {
     if (!active(kRuleStatPath)) return;
     static const std::set<std::string_view> kRegisterFns = {
@@ -320,7 +283,6 @@ struct FileLinter {
     ruleUnordered();
     ruleRandomness();
     rulePointerOrder();
-    ruleRetired();
     ruleStatPath();
     ruleSuppressionHygiene();
 
@@ -370,8 +332,8 @@ Zone zoneForPath(const std::string& relPath) {
 
 const std::vector<std::string>& allRules() {
   static const std::vector<std::string> kRules = {
-      kRulePtrOrder,  kRuleRetired,     kRuleUnordered, kRuleRandom,
-      kRuleWallClock, kRuleStatPath,    kRuleSuppression};
+      kRulePtrOrder,  kRuleUnordered, kRuleRandom,
+      kRuleWallClock, kRuleStatPath,  kRuleSuppression};
   return kRules;
 }
 

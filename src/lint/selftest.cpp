@@ -182,35 +182,6 @@ struct Node;
 std::size_t key(Node* n) { return std::hash<Node*>{}(n); }
 )lint"));
 
-  // ------------------------------------------------- no-retired-symbols
-  cases.push_back(pos("no-retired-symbols/struct-name", "no-retired-symbols",
-                      "bench/fig99.cpp",
-                      R"lint(
-TxCounters tx;
-)lint"));
-  cases.push_back(pos("no-retired-symbols/tx-member-chain",
-                      "no-retired-symbols", "bench/fig99.cpp",
-                      R"lint(
-double rate(const RunResult& r) { return r.tx.commits; }
-)lint"));
-  cases.push_back(pos("no-retired-symbols/protocol-field",
-                      "no-retired-symbols", "bench/fig99.cpp",
-                      R"lint(
-unsigned long hits(const RunResult& r) { return r.protocol.llcHits; }
-)lint"));
-  // The exact false positive the PR-6 grep gate had: a legitimate
-  // MachineParams::protocol latency knob must NOT match.
-  cases.push_back(neg("no-retired-symbols/latency-knob-is-legit",
-                      "no-retired-symbols", "bench/fig99.cpp",
-                      R"lint(
-unsigned latency(const MachineParams& m) { return m.protocol.llcLatency; }
-)lint"));
-  cases.push_back(neg("no-retired-symbols/string-mention",
-                      "no-retired-symbols", "tools/some_tool.cpp",
-                      R"lint(
-const char* kGateDoc = "TxCounters and r.tx.commits are retired";
-)lint"));
-
   // -------------------------------------------------- stat-path-literal
   cases.push_back(pos("stat-path-literal/concatenated-path",
                       "stat-path-literal", "src/stats/tx_stats.cpp",

@@ -13,7 +13,6 @@
 #include "config/systems.hpp"
 #include "runtime/backends/backend.hpp"
 #include "runtime/backends/tl2.hpp"
-#include "runtime/tm_runtime.hpp"
 #include "workloads/micro.hpp"
 #include "workloads/workload.hpp"
 
@@ -72,55 +71,7 @@ TEST(BackendRegistry, HybridRequiresHtm) {
   EXPECT_THROW(makeBackend("hybrid", bc), std::invalid_argument);
 }
 
-// ------------------------------------------------- lockiller bit-identity
-
-void expectSamePrograms(const cpu::Program& a, const cpu::Program& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t pc = 0; pc < a.size(); ++pc) {
-    const cpu::Instr& x = a.at(pc);
-    const cpu::Instr& y = b.at(pc);
-    EXPECT_TRUE(x.op == y.op && x.rd == y.rd && x.rs1 == y.rs1 &&
-                x.rs2 == y.rs2 && x.imm == y.imm)
-        << "pc " << pc << ": " << x.str() << " vs " << y.str();
-  }
-}
-
-TEST(LockillerBackend, EmitsByteIdenticalToDirectRuntime) {
-  const Addr addr = 0x10000;
-  for (const char* system : {"CGL", "Baseline", "LockillerTM"}) {
-    const cfg::SystemSpec sys = cfg::systemByName(system);
-
-    cpu::ProgramBuilder direct;
-    rt::TmRuntime rt(rt::runtimeFor(sys.policy), wl::kFallbackLockAddr,
-                     sys.retry);
-    rt.emitPrologue(direct, 3);
-    rt.emitEnter(direct);
-    direct.li(10, static_cast<std::int64_t>(addr));
-    direct.load(11, 10);
-    direct.li(10, static_cast<std::int64_t>(addr));
-    direct.load(11, 10);
-    direct.addi(11, 11, 1);
-    direct.store(10, 11);
-    rt.emitExit(direct);
-    direct.halt();
-
-    BackendConfig bc;
-    bc.policy = sys.policy;
-    bc.retry = sys.retry;
-    bc.lockAddr = wl::kFallbackLockAddr;
-    auto backend = makeBackend(defaultBackendFor(sys.policy), bc);
-    cpu::ProgramBuilder viaBackend;
-    backend->emitProgramStart(viaBackend, 3, 8);
-    backend->emitTransaction(viaBackend, [&](cpu::ProgramBuilder& pb) {
-      backend->emitRead(pb, addr, 10, 11);
-      backend->emitUpdate(pb, addr, 10, 11, 1);
-    });
-    viaBackend.halt();
-
-    SCOPED_TRACE(system);
-    expectSamePrograms(direct.build(), viaBackend.build());
-  }
-}
+// ------------------------------------------------------------- lockiller
 
 TEST(LockillerBackend, MachineSuffixRunMatchesDefaultRun) {
   // Forcing -be=lockiller on a machine must be a no-op for an HTM system:

@@ -353,5 +353,34 @@ TEST(Distrib, DeadWorkerJobIsReclaimedAndFinished) {
   EXPECT_TRUE(w1.listClaimed().empty());
 }
 
+TEST(Distrib, UnwritableDoneRecordsAreCounted) {
+  // The first job turns done/ into a regular file, so no done record can be
+  // written (even by root). The worker still runs every job, counts one
+  // write failure per job, and returns instead of waiting for records that
+  // will never appear.
+  const std::string root = tempDir("distrib_nodone");
+  SweepManifest m = testManifest(root + "/art");
+  const std::string doneDir = root + "/claims/done";
+  auto breakingRunner = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                            sim::SimContext& ctx) {
+    if (fs::is_directory(doneDir)) {
+      fs::remove_all(doneDir);
+      std::ofstream(doneDir) << "not a directory";
+    }
+    return runSpec(spec, o, ctx);
+  };
+  WorkerOptions wopts;
+  wopts.workerId = "w1";
+  wopts.claimDir = root + "/claims";
+  wopts.heartbeatSeconds = 0.05;
+  wopts.pollSeconds = 0.01;
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const OrchestratorReport rep = runWorker(m, wopts, opts, breakingRunner);
+  EXPECT_EQ(rep.ran, m.jobs.size());
+  EXPECT_EQ(rep.writeFailures, m.jobs.size());
+  EXPECT_FALSE(m.complete());  // nothing reached done/: a resume redoes it
+}
+
 }  // namespace
 }  // namespace lktm::test

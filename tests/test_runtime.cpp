@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu_harness.hpp"
-#include "runtime/tm_runtime.hpp"
+#include "runtime/backends/lockiller.hpp"
 #include "workloads/address_space.hpp"
 
 namespace lktm::test {
@@ -12,23 +12,31 @@ namespace {
 using cpu::Op;
 using cpu::ProgramBuilder;
 using rt::RuntimeKind;
-using rt::TmRuntime;
+using tm::LockillerBackend;
 
 constexpr Addr kCounter = 0x100000;
 
-cpu::Program incrementProgram(const TmRuntime& runtime, unsigned tid,
+/// The lock-elision backend of `kind` around the shared fallback lock.
+LockillerBackend backendOf(RuntimeKind kind, const rt::RetryPolicy& retry = {}) {
+  tm::BackendConfig cfg;
+  cfg.retry = retry;
+  cfg.lockAddr = wl::kFallbackLockAddr;
+  return LockillerBackend(cfg, kind, rt::toString(kind));
+}
+
+cpu::Program incrementProgram(LockillerBackend& backend, unsigned tid,
                               unsigned iters) {
   ProgramBuilder b;
-  runtime.emitPrologue(b, tid);
+  backend.emitProgramStart(b, tid, 4);
   b.mark(TimeCat::NonTran);
   b.compute(static_cast<std::int64_t>(5 + 3 * tid));
   for (unsigned i = 0; i < iters; ++i) {
-    runtime.emitEnter(b);
-    b.li(1, kCounter);
-    b.load(2, 1);
-    b.addi(2, 2, 1);
-    b.store(1, 2);
-    runtime.emitExit(b);
+    backend.emitTransaction(b, [](ProgramBuilder& pb) {
+      pb.li(1, kCounter);
+      pb.load(2, 1);
+      pb.addi(2, 2, 1);
+      pb.store(1, 2);
+    });
     b.compute(15);
   }
   b.barrier();
@@ -56,7 +64,7 @@ TEST(Runtime, KindSelection) {
 }
 
 TEST(Runtime, CglUsesNoTransactions) {
-  TmRuntime r(RuntimeKind::CGL, wl::kFallbackLockAddr);
+  LockillerBackend r = backendOf(RuntimeKind::CGL);
   const auto p = incrementProgram(r, 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 0u);
   EXPECT_EQ(countOps(p, Op::HlBegin), 0u);
@@ -65,7 +73,7 @@ TEST(Runtime, CglUsesNoTransactions) {
 
 TEST(Runtime, BestEffortSubscribesAndAbortsOnHeldLock) {
   // Listing 1 lines 8-9: load of the lock word inside the tx + xabort.
-  TmRuntime r(RuntimeKind::BestEffort, wl::kFallbackLockAddr);
+  LockillerBackend r = backendOf(RuntimeKind::BestEffort);
   const auto p = incrementProgram(r, 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 1u);
   EXPECT_EQ(countOps(p, Op::XAbort), 1u);
@@ -76,7 +84,7 @@ TEST(Runtime, BestEffortSubscribesAndAbortsOnHeldLock) {
 TEST(Runtime, HtmLockDoesNotSubscribeAndUsesListing2) {
   // The grey modifications: no lock-word subscription (no xabort), hlbegin
   // on the fallback path, ttest-dispatched release.
-  TmRuntime r(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
+  LockillerBackend r = backendOf(RuntimeKind::HtmLock);
   const auto p = incrementProgram(r, 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 1u);
   EXPECT_EQ(countOps(p, Op::XAbort), 0u);
@@ -86,7 +94,7 @@ TEST(Runtime, HtmLockDoesNotSubscribeAndUsesListing2) {
 }
 
 TEST(Runtime, McsNodesAreDistinctLines) {
-  TmRuntime r(RuntimeKind::CGL, wl::kFallbackLockAddr);
+  LockillerBackend r = backendOf(RuntimeKind::CGL);
   EXPECT_NE(lineOf(r.mcsNodeAddr(0)), lineOf(wl::kFallbackLockAddr));
   for (unsigned a = 0; a < 32; ++a) {
     for (unsigned b = a + 1; b < 32; ++b) {
@@ -102,7 +110,7 @@ class RuntimeE2E : public ::testing::TestWithParam<RuntimeKind> {};
 TEST_P(RuntimeE2E, CriticalSectionsExecuteExactlyOnce) {
   const RuntimeKind kind = GetParam();
   rt::RetryPolicy retry;
-  TmRuntime runtime(kind, wl::kFallbackLockAddr, retry);
+  LockillerBackend runtime = backendOf(kind, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   opt.policy = kind == RuntimeKind::HtmLock ? htmLockPolicy(true) : recoveryPolicy();
@@ -131,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, RuntimeE2E,
 TEST(Runtime, TestAndSetCglAlsoCorrect) {
   rt::RetryPolicy retry;
   retry.cglLock = rt::LockImpl::TestAndSet;
-  TmRuntime runtime(RuntimeKind::CGL, wl::kFallbackLockAddr, retry);
+  LockillerBackend runtime = backendOf(RuntimeKind::CGL, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   opt.policy.htmEnabled = false;
@@ -146,21 +154,21 @@ TEST(Runtime, TestAndSetCglAlsoCorrect) {
 TEST(Runtime, BestEffortFallsBackOnFault) {
   // A syscall inside every critical section: best-effort HTM cannot commit a
   // single one speculatively; all must complete via the fallback lock.
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr);
+  LockillerBackend runtime = backendOf(RuntimeKind::BestEffort);
   TestSystemOptions opt;
   opt.cores = 2;
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    runtime.emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 5; ++i) {
-      runtime.emitEnter(b);
-      b.li(1, kCounter);
-      b.load(2, 1);
-      b.addi(2, 2, 1);
-      b.syscall();
-      b.store(1, 2);
-      runtime.emitExit(b);
+      runtime.emitTransaction(b, [&](ProgramBuilder& pb) {
+        pb.li(1, kCounter);
+        pb.load(2, 1);
+        pb.addi(2, 2, 1);
+        pb.syscall();
+        pb.store(1, 2);
+      });
     }
     b.barrier();
     b.halt();
@@ -175,22 +183,22 @@ TEST(Runtime, BestEffortFallsBackOnFault) {
 }
 
 TEST(Runtime, HtmLockFaultGoesToTlAndSurvives) {
-  TmRuntime runtime(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
+  LockillerBackend runtime = backendOf(RuntimeKind::HtmLock);
   TestSystemOptions opt;
   opt.cores = 2;
   opt.policy = htmLockPolicy(true);
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    runtime.emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 5; ++i) {
-      runtime.emitEnter(b);
-      b.li(1, kCounter);
-      b.load(2, 1);
-      b.addi(2, 2, 1);
-      b.syscall();
-      b.store(1, 2);
-      runtime.emitExit(b);
+      runtime.emitTransaction(b, [&](ProgramBuilder& pb) {
+        pb.li(1, kCounter);
+        pb.load(2, 1);
+        pb.addi(2, 2, 1);
+        pb.syscall();
+        pb.store(1, 2);
+      });
     }
     b.barrier();
     b.halt();
@@ -205,7 +213,7 @@ TEST(Runtime, HtmLockFaultGoesToTlAndSurvives) {
 TEST(Runtime, SwitchingModeCompletesOverflowingSections) {
   // Critical sections whose write sets overflow a tiny L1: with switchingMode
   // they complete as STL without ever acquiring the software lock.
-  TmRuntime runtime(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
+  LockillerBackend runtime = backendOf(RuntimeKind::HtmLock);
   TestSystemOptions opt;
   opt.cores = 2;
   opt.policy = htmLockPolicy(true);
@@ -213,18 +221,18 @@ TEST(Runtime, SwitchingModeCompletesOverflowingSections) {
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    runtime.emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 3; ++i) {
-      runtime.emitEnter(b);
-      // Six same-set lines (disjoint per core) force an overflow.
-      for (int j = 0; j < 6; ++j) {
-        b.li(1, static_cast<std::int64_t>(0x100000 + c * 0x40000 +
-                                          static_cast<Addr>(j) * 32 * kLineBytes));
-        b.load(2, 1);
-        b.addi(2, 2, 1);
-        b.store(1, 2);
-      }
-      runtime.emitExit(b);
+      runtime.emitTransaction(b, [&](ProgramBuilder& pb) {
+        // Six same-set lines (disjoint per core) force an overflow.
+        for (int j = 0; j < 6; ++j) {
+          pb.li(1, static_cast<std::int64_t>(0x100000 + c * 0x40000 +
+                                             static_cast<Addr>(j) * 32 * kLineBytes));
+          pb.load(2, 1);
+          pb.addi(2, 2, 1);
+          pb.store(1, 2);
+        }
+      });
       b.compute(20);
     }
     b.barrier();
@@ -277,7 +285,7 @@ TEST(Runtime, HugeSpinBackoffCapRunsCorrectly) {
   rt::RetryPolicy retry;
   retry.maxRetries = 1;  // force the lock path under conflicts
   retry.spinBackoffMax = std::numeric_limits<Cycle>::max();
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr, retry);
+  LockillerBackend runtime = backendOf(RuntimeKind::BestEffort, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   CpuHarness h(4, opt);
@@ -292,7 +300,7 @@ TEST(Runtime, RetryExhaustionTakesFallback) {
   // With zero retries every conflict abort goes straight to the lock.
   rt::RetryPolicy retry;
   retry.maxRetries = 1;
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr, retry);
+  LockillerBackend runtime = backendOf(RuntimeKind::BestEffort, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   CpuHarness h(4, opt);

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -373,6 +375,96 @@ TEST(Orchestrator, CrashBeforeFinalSaveResumesFromDoneRecords) {
   ASSERT_TRUE(resumed.allOk());
   ASSERT_TRUE(writeMergedArtifact(resumed, dir + "/merged.json"));
   EXPECT_EQ(slurp(dir + "/merged.json"), slurp(ref + "/merged.json"));
+}
+
+TEST(Orchestrator, ResumeReturnsKilledRunClaims) {
+  // A copy of the sweep directory taken while job 3 runs is what a SIGKILL
+  // at that moment leaves: done records for jobs 0-2 and `run`'s claim on
+  // job 3. `run` owns its spool, so the resume hands that claim straight
+  // back to todo/ — no heartbeat lease to wait out — and runs it once.
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const std::size_t kJobs = 9;
+  const std::string dir = tempDir("killed_claim");
+  const std::string snapshot = dir + ".killed";
+  fs::remove_all(snapshot);
+  const std::string path = dir + "/sweep.json";
+  SweepManifest m = cannedManifest(dir + "/runs", kJobs);
+  ASSERT_TRUE(m.save(path));
+  std::string held;
+  std::size_t calls = 0;
+  auto snapshotting = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                          sim::SimContext& ctx) {
+    if (calls++ == 3) {
+      held = jobFileStem(spec);
+      fs::copy(dir, snapshot, fs::copy_options::recursive);
+    }
+    return cannedResult(spec, o, ctx);
+  };
+  runManifest(m, path, opts, snapshotting);
+  fs::remove_all(dir);
+  fs::rename(snapshot, dir);
+  ASSERT_EQ(listFiles(claimDirFor(path) + "/claimed"), std::set<std::string>{held});
+  ASSERT_EQ(listFiles(claimDirFor(path) + "/done").size(), 3u);
+
+  std::map<std::string, unsigned> runs;
+  auto counting = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                      sim::SimContext& ctx) {
+    ++runs[jobFileStem(spec)];
+    return cannedResult(spec, o, ctx);
+  };
+  SweepManifest resumed = SweepManifest::load(path);
+  const auto t0 = std::chrono::steady_clock::now();
+  const OrchestratorReport rep = runManifest(resumed, path, opts, counting);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(runs[held], 1u);
+  EXPECT_EQ(rep.ran, kJobs - 3);
+  EXPECT_EQ(rep.skipped, 3u);
+  EXPECT_TRUE(resumed.allOk());
+  EXPECT_FALSE(fs::exists(claimDirFor(path)));
+  EXPECT_LT(seconds, WorkerOptions{}.leaseSeconds) << "the resume waited for a lease";
+}
+
+TEST(Orchestrator, RerunFailedRerunsOnlyFailedJobs) {
+  const std::string dir = tempDir("rerun_failed");
+  const std::string path = dir + "/sweep.json";
+  SweepManifest m = cannedManifest(dir + "/runs", 4);
+  const std::string flaky = m.jobs[1].spec.id();
+  bool broken = true;
+  std::map<std::string, unsigned> runs;
+  auto runner = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                    sim::SimContext& ctx) {
+    ++runs[spec.id()];
+    if (broken && spec.id() == flaky) throw std::runtime_error("deterministic bug");
+    return cannedResult(spec, o, ctx);
+  };
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  runManifest(m, path, opts, runner);
+  ASSERT_EQ(m.jobs[1].state, JobState::Failed);
+
+  // A plain resume keeps the recorded failure.
+  broken = false;
+  SweepManifest kept = SweepManifest::load(path);
+  EXPECT_EQ(runManifest(kept, path, opts, runner).ran, 0u);
+  EXPECT_EQ(kept.jobs[1].state, JobState::Failed);
+
+  // --rerun-failed runs the failed job again and skips the Ok ones.
+  opts.rerunFailed = true;
+  SweepManifest again = SweepManifest::load(path);
+  std::vector<RunResult> results;
+  const OrchestratorReport rep = runManifest(again, path, opts, runner, &results);
+  EXPECT_EQ(rep.ran, 1u);
+  EXPECT_EQ(rep.skipped, 3u);
+  EXPECT_EQ(runs[flaky], 2u);
+  for (const JobRecord& j : again.jobs) {
+    EXPECT_EQ(runs[j.spec.id()], j.spec.id() == flaky ? 2u : 1u) << j.spec.id();
+  }
+  EXPECT_TRUE(again.allOk());
+  EXPECT_EQ(again.jobs[1].diagnostic, "");
+  ASSERT_EQ(results.size(), 4u);
+  for (const RunResult& r : results) EXPECT_TRUE(r.ok()) << r.str();
 }
 
 TEST(Orchestrator, UnwritableManifestIsReported) {

@@ -13,11 +13,12 @@
 // `run` and `work` are idempotent: completed jobs are skipped, a job
 // interrupted mid-run restarts (or is reclaimed from a dead worker), and the
 // merged output is bit-identical no matter how many workers ran it, where,
-// or how often they died. `work` coordinates purely through the claim spool
-// next to the manifest (<manifest>.claims by default) — point every worker
-// at the same directory (shared mount) and they divide the sweep without a
-// daemon. `run` journals each finished job into the done/ directory of the
-// same spool, so `status` reports a live `run` too.
+// or how often they died. Both run the same loop over the claim spool next
+// to the manifest (<manifest>.claims): `run` owns it exclusively (no
+// heartbeat; claims a killed `run` held go straight back to todo/), `work`
+// shares it — point every worker at the same directory (shared mount) and
+// they divide the sweep without a daemon. `status` reads a live `run` or
+// `work` alike, and either command resumes what the other left.
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -308,12 +309,11 @@ int main(int argc, char** argv) {
     cfg::SweepManifest m = cfg::SweepManifest::load(manifestPath);
 
     if (cmd == "run") {
-      // Todo/claimed entries or heartbeats mean distributed workers own this
-      // manifest's state; the single-process runner would race them. A spool
-      // of done records alone is what a killed `run` leaves, and resumes.
+      // Heartbeats mean distributed workers share this spool; `run` owns its
+      // spool exclusively and would race them. Todo/claimed/done entries
+      // alone are what a killed `run` (or finished workers) leave: resumed.
       const cfg::ClaimStore spool(cfg::claimDirFor(manifestPath), "run");
-      if (!spool.listTodo().empty() || !spool.listClaimed().empty() ||
-          !spool.listHeartbeats().empty()) {
+      if (!spool.listHeartbeats().empty()) {
         std::fprintf(stderr,
                      "error: claim spool %s is owned by distributed workers; "
                      "use 'work' (or status/merge)\n",
@@ -346,13 +346,17 @@ int main(int argc, char** argv) {
       }
       const cfg::OrchestratorReport rep =
           cfg::runWorker(m, wopts, opts, delayedRunner());
+      if (rep.writeFailures > 0) {
+        std::fprintf(stderr, "error: %zu done record(s) could not be written\n",
+                     rep.writeFailures);
+      }
       if (!quiet) {
         std::printf(
             "worker %s: ran %zu, retried %zu; ok %zu, failed %zu, total %zu\n",
             wopts.workerId.c_str(), rep.ran, rep.retried, rep.ok, rep.failed,
             m.jobs.size());
       }
-      return m.complete() && m.allOk() ? 0 : 1;
+      return m.complete() && m.allOk() && rep.writeFailures == 0 ? 0 : 1;
     }
     if (cmd == "status") {
       const std::size_t folded = cfg::foldClaimState(m, wopts.claimDir);

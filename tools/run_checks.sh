@@ -12,7 +12,8 @@
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
 # (interrupt + resume, and a SIGKILLed live run + resume, must merge
 # bit-identical to an uninterrupted run, under the default and sanitize
-# builds), smoke the distributed fan-out (3 workers
+# builds; so must a run stopped after 3 jobs and finished by two 'work'
+# processes on the same spool), smoke the distributed fan-out (3 workers
 # on one claim spool, one SIGKILLed mid-job and reclaimed via heartbeat
 # lease, merge must cmp equal to a single-process run — default and sanitize
 # builds), smoke the database-traffic family (ycsb on the TL2 backend must
@@ -24,8 +25,7 @@
 # (summary must cmp equal to the committed lktm.summary.v1), build + test
 # the trace preset (LKTM_TRACE=ON), run the lktm_lint determinism linter
 # (self-test must catch every planted violation; src/ and tools/ must be
-# clean; bench/ and examples/ must be free of retired counter structs; the
-# lktm.lint.v1 artifact must validate), build the TSan preset and run the
+# clean; the lktm.lint.v1 artifact must validate), build the TSan preset and run the
 # host-parallel sweep tests under ThreadSanitizer, then build the release
 # tree and run the gated kernel microbenchmarks
 # (writes BENCH_kernel.json; fails if any gated benchmark regresses below the
@@ -257,6 +257,46 @@ run_sweep_kill_smoke() {
 }
 run_sweep_kill_smoke build
 
+echo "== one claim spool, two entry points: run --max-jobs 3, two workers finish =="
+run_spool_handoff_smoke() {
+  # $1 = build dir. 'run' and 'work' drive the same claim -> run -> finish
+  # loop over one spool, so either may finish what the other started: an
+  # interrupted single-process run is completed by two 'work' processes,
+  # which between them run exactly the 5 jobs left, and the merge must cmp
+  # equal to an uninterrupted run's.
+  local bdir="$1" d wa wb ran
+  d="$bdir/spool_handoff_check"
+  rm -rf "$d" && mkdir -p "$d/ref" "$d/mix"
+  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/ref/sweep.json" >/dev/null
+  "$bdir/tools/lktm_sweep" run --manifest "$d/ref/sweep.json" --quiet >/dev/null
+  "$bdir/tools/lktm_sweep" merge --manifest "$d/ref/sweep.json" \
+    --out "$d/ref/merged.json" >/dev/null
+
+  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/mix/sweep.json" \
+    --shards 2 >/dev/null
+  "$bdir/tools/lktm_sweep" run --manifest "$d/mix/sweep.json" --max-jobs 3 \
+    --quiet >/dev/null || true
+  "$bdir/tools/lktm_sweep" work --manifest "$d/mix/sweep.json" \
+    --worker-id mix-a --shard 0 >"$d/mix/a.txt" 2>/dev/null &
+  wa=$!
+  "$bdir/tools/lktm_sweep" work --manifest "$d/mix/sweep.json" \
+    --worker-id mix-b --shard 1 >"$d/mix/b.txt" 2>/dev/null &
+  wb=$!
+  wait "$wa"
+  wait "$wb"
+  ran="$(cat "$d/mix/a.txt" "$d/mix/b.txt" \
+    | sed -n 's/^worker .*: ran \([0-9]*\),.*/\1/p' | awk '{ s += $1 } END { print s }')"
+  [[ "$ran" == 5 ]] || {
+    echo "the workers ran ${ran:-no} jobs after 'run --max-jobs 3'; expected 5" >&2
+    return 1
+  }
+  "$bdir/tools/lktm_sweep" merge --manifest "$d/mix/sweep.json" \
+    --out "$d/mix/merged.json" >/dev/null
+  cmp "$d/ref/merged.json" "$d/mix/merged.json"
+  echo "  (run --max-jobs 3 finished by 2 workers, merged bit-identical)"
+}
+run_spool_handoff_smoke build
+
 echo "== distributed sweep: 3 workers, SIGKILL one mid-run, bit-identical merge =="
 run_distrib_smoke() {
   # $1 = build dir. The tentpole guarantee end to end: a single-process run
@@ -373,17 +413,6 @@ if find bench -type f -size +262144c | grep .; then
   exit 1
 fi
 
-echo "== retired-symbol gate: bench/ + examples/ read the stat registry =="
-# Token-level replacement for the old grep gate: lktm_lint lexes the sources,
-# so retired-field mentions in strings/comments cannot trip it, and the
-# legitimate MachineParams::protocol latency knobs (m.protocol.llcLatency)
-# never match.
-./build/tools/lktm_lint --root . --rules no-retired-symbols --quiet \
-  bench examples || {
-  echo "bench//examples/ still scrape retired counter structs" >&2
-  exit 1
-}
-
 echo "== configure + build: trace (LKTM_TRACE=ON) =="
 cmake --preset trace >/dev/null
 cmake --build build-trace -j "$JOBS"
@@ -413,6 +442,9 @@ run_sweep_smoke build-sanitize
 
 echo "== sweep orchestrator: SIGKILL + resume under ASan/UBSan =="
 run_sweep_kill_smoke build-sanitize
+
+echo "== run -> work spool hand-off under ASan/UBSan =="
+run_spool_handoff_smoke build-sanitize
 
 echo "== distributed sweep: kill/reclaim/merge under ASan/UBSan =="
 run_distrib_smoke build-sanitize
