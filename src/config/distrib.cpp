@@ -320,6 +320,11 @@ void ClaimStore::writeHeartbeat(std::uint64_t seq) const {
               workerId_);
 }
 
+void ClaimStore::removeHeartbeat() const {
+  std::error_code ec;
+  fs::remove(fs::path(root_) / "hb" / workerId_, ec);
+}
+
 std::vector<std::string> ClaimStore::listTodo() const {
   return listDirSorted((fs::path(root_) / "todo").string());
 }
@@ -736,6 +741,14 @@ OrchestratorReport drainClaimSpool(SweepManifest& manifest, SpoolOwner owner,
   };
 
   detail::runWorkerPool(opts.hostThreads, total - report.skipped, claimNext, runOne);
+  // A clean exit takes its heartbeat along, so a spool that finished 'work'
+  // processes leave behind is no longer refused by 'run'. An exception skips
+  // this: the file stays, and the lease reclaims the claims it vouched for.
+  if (heartbeat.joinable()) {
+    heartbeat.request_stop();
+    heartbeat.join();
+    store.removeHeartbeat();
+  }
 
   // Fold the whole spool back so the manifest reflects every worker's
   // results, not just ours.

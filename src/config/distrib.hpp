@@ -151,6 +151,8 @@ class ClaimStore {
 
   /// Rewrite this worker's heartbeat file.
   void writeHeartbeat(std::uint64_t seq) const;
+  /// Delete this worker's heartbeat file (clean exit).
+  void removeHeartbeat() const;
 
   // ---- scans (each a directory listing; sorted by file name) ----
   std::vector<std::string> listTodo() const;

@@ -132,7 +132,7 @@ struct RunConfig {
   bool verifyWorkload = true;
   /// Warm the inclusive LLC with the workload footprint (steady-state runs).
   bool warmLlc = true;
-  /// Optional event-trace sink (only records in LKTM_TRACE builds). The run
+  /// Optional event-trace sink (filtered by its category mask). The run
   /// installs it on the SimContext for its duration; caller keeps ownership.
   sim::TraceSink* traceSink = nullptr;
 };

@@ -111,8 +111,11 @@ class FlatLineTable {
     return true;
   }
 
-  /// Forget every entry but keep the slot slab (steady-state reuse).
+  /// Forget every entry but keep the slot slab (steady-state reuse). An
+  /// empty table returns at once: per-commit drains of an idle wakeup table
+  /// must not walk its whole slab.
   void clear() {
+    if (size_ == 0) return;
     for (auto& s : slots_) {
       if (s.used) {
         s.used = false;
@@ -213,6 +216,7 @@ class FlatLineTable {
 
   void orderedKeysInto(std::vector<LineAddr>& keys) const {
     keys.clear();
+    if (size_ == 0) return;
     keys.reserve(size_);
     for (const auto& s : slots_) {
       if (s.used) keys.push_back(s.key);

@@ -66,20 +66,17 @@ ModelChecker::PathOutcome ModelChecker::runPath(const ModelConfig& cfg,
                                                 // lktm-lint: allow(no-unordered-iteration) -- membership test only
                                                 std::unordered_set<std::uint64_t>* visited,
                                                 const CheckOptions& opt,
-                                                std::uint64_t* statesVisited) {
+                                                std::uint64_t* statesVisited,
+                                                sim::TraceSink* sink) {
   PathOutcome out;
   ModelHarness harness(cfg);
   harness.engine().setScheduleOracle(&oracle);
 
-  // Record the path's event trace so a counterexample dump carries the full
-  // txn/coherence timeline next to the delivery schedule. Compiles to a
-  // never-written sink unless LKTM_TRACE is on.
-  sim::TraceSink sink;
-  harness.ctx().setTraceSink(&sink);
+  // A traced path records its event trace so a counterexample dump carries
+  // the full txn/coherence timeline next to the delivery schedule.
+  harness.ctx().setTraceSink(sink);
   const auto captureTrace = [&] {
-    if (sim::kTraceEnabled && !out.violations.empty()) {
-      out.traceJson = sink.chromeJson();
-    }
+    if (sink != nullptr && !out.violations.empty()) out.traceJson = sink->chromeJson();
   };
 
   const SystemView view = harness.view();
@@ -162,7 +159,8 @@ CheckResult ModelChecker::run() {
 
   while (true) {
     DfsOracle oracle(prefix);
-    PathOutcome out = runPath(cfg_, oracle, &visited, opt_, &result.statesVisited);
+    PathOutcome out =
+        runPath(cfg_, oracle, &visited, opt_, &result.statesVisited, /*sink=*/nullptr);
     ++result.pathsExplored;
     result.eventsExecuted += out.events;
     result.choicePoints += out.freshChoices;
@@ -182,7 +180,14 @@ CheckResult ModelChecker::run() {
         cex.detail = result.violations.front().detail;
         cex.schedule = oracle.choices();
         cex.trace = std::move(out.trace);
-        cex.traceJson = std::move(out.traceJson);
+        // Clean paths record no events, so the violating one is re-run with
+        // a sink. Forced choices make the re-run the same path: it reaches
+        // the same violation at the same event.
+        sim::TraceSink sink;
+        DfsOracle again(cex.schedule);
+        cex.traceJson = runPath(cfg_, again, /*visited=*/nullptr, opt_,
+                                /*statesVisited=*/nullptr, &sink)
+                            .traceJson;
         result.cex = std::move(cex);
         return result;
       }
@@ -211,7 +216,8 @@ CheckResult ModelChecker::replaySchedule(const ModelConfig& cfg,
   CheckOptions opt;
   opt.maxEventsPerPath = maxEvents;
   DfsOracle oracle(schedule);
-  PathOutcome out = runPath(cfg, oracle, /*visited=*/nullptr, opt, nullptr);
+  sim::TraceSink sink;
+  PathOutcome out = runPath(cfg, oracle, /*visited=*/nullptr, opt, nullptr, &sink);
   result.pathsExplored = 1;
   result.eventsExecuted = out.events;
   result.truncated = out.truncated;

@@ -72,7 +72,7 @@ struct Counterexample {
   std::vector<std::size_t> schedule;  ///< forced choice at each branch
   std::string trace;                  ///< message deliveries, replay style
   /// Chrome trace_event JSON of the violating path (txn/lock-mode spans,
-  /// reject/wakeup/directory instants). Empty unless built with LKTM_TRACE.
+  /// reject/wakeup/directory instants), recorded by a re-run of the schedule.
   std::string traceJson;
 };
 
@@ -108,7 +108,7 @@ class ModelChecker {
   struct PathOutcome {
     std::vector<Violation> violations;
     std::string trace;
-    std::string traceJson;  ///< Chrome JSON, filled on violation (LKTM_TRACE)
+    std::string traceJson;  ///< Chrome JSON, filled on violation when traced
     bool pruned = false;
     bool truncated = false;
     std::uint64_t events = 0;
@@ -116,10 +116,13 @@ class ModelChecker {
     std::string deadlockDiagnostic;
   };
 
+  /// Run one path. `sink`, when non-null, records the path's event trace
+  /// (into traceJson on violation); DFS paths run without one.
   static PathOutcome runPath(const ModelConfig& cfg, DfsOracle& oracle,
                              // lktm-lint: allow(no-unordered-iteration) -- membership test only
                              std::unordered_set<std::uint64_t>* visited,
-                             const CheckOptions& opt, std::uint64_t* statesVisited);
+                             const CheckOptions& opt, std::uint64_t* statesVisited,
+                             sim::TraceSink* sink);
 
   ModelConfig cfg_;
   CheckOptions opt_;

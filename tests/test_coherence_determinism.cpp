@@ -180,43 +180,15 @@ TEST(FlatLineSet, MatchesSetReference) {
 
 // ----------------------------------------------------- core mask vs set
 
-TEST(CoreMask, MatchesSetReference) {
+/// Random insert/erase churn over ids [0, idRange) must track a std::set
+/// exactly, and both range-for and forEach must walk in std::set
+/// (ascending) order.
+void coreMaskMatchesSet(unsigned idRange, std::uint64_t rngSeed) {
   sim::CoreMask m;
-  std::set<CoreId> ref;
-  sim::Rng rng(7);
-  for (int step = 0; step < 5000; ++step) {
-    const CoreId c = static_cast<CoreId>(rng.next() % 64);
-    if (rng.next() % 3 == 0) {
-      m.erase(c);
-      ref.erase(c);
-    } else {
-      m.insert(c);
-      ref.insert(c);
-    }
-    ASSERT_EQ(m.size(), ref.size());
-    ASSERT_EQ(m.count(c), ref.count(c));
-    ASSERT_EQ(m.empty(), ref.empty());
-  }
-  // Both range-for and forEach must walk in std::set (ascending) order.
-  std::vector<CoreId> ranged;
-  for (CoreId c : m) ranged.push_back(c);
-  std::vector<CoreId> visited;
-  m.forEach([&](CoreId c) { visited.push_back(c); });
-  std::vector<CoreId> expect(ref.begin(), ref.end());
-  EXPECT_EQ(ranged, expect);
-  EXPECT_EQ(visited, expect);
-}
-
-// Multi-word masks are exercised explicitly regardless of this build's
-// LKTM_MAX_CORES: word-boundary ids and set-parity must hold for every
-// instantiation the build system can select.
-template <unsigned Words>
-void coreMaskMatchesSet(std::uint64_t rngSeed) {
-  sim::CoreMaskT<Words> m;
   std::set<CoreId> ref;
   sim::Rng rng(rngSeed);
   for (int step = 0; step < 5000; ++step) {
-    const CoreId c = static_cast<CoreId>(rng.next() % (Words * 64));
+    const CoreId c = static_cast<CoreId>(rng.next() % idRange);
     if (rng.next() % 3 == 0) {
       m.erase(c);
       ref.erase(c);
@@ -237,46 +209,58 @@ void coreMaskMatchesSet(std::uint64_t rngSeed) {
   EXPECT_EQ(visited, expect);
 }
 
-TEST(CoreMask, TwoWordMatchesSetReference) { coreMaskMatchesSet<2>(7); }
-TEST(CoreMask, FourWordMatchesSetReference) { coreMaskMatchesSet<4>(13); }
-TEST(CoreMask, EightWordMatchesSetReference) { coreMaskMatchesSet<8>(29); }
+// Dense churn confined to the low 1, 2 and 4 words (the 32-core paper
+// machines and the 128/256-core grids leave the upper words empty), then
+// over all eight.
+TEST(CoreMask, MatchesSetReference) { coreMaskMatchesSet(64, 7); }
+TEST(CoreMask, TwoWordMatchesSetReference) { coreMaskMatchesSet(128, 7); }
+TEST(CoreMask, FourWordMatchesSetReference) { coreMaskMatchesSet(256, 13); }
+TEST(CoreMask, EightWordMatchesSetReference) {
+  coreMaskMatchesSet(sim::CoreMask::kMaxCores, 29);
+}
 
 TEST(CoreMask, WordBoundaryIds) {
-  // Cores 63/64/65 straddle the first word boundary, 127/128 the second.
-  sim::CoreMaskT<4> m;
-  for (CoreId c : {63, 64, 65, 127, 128}) {
-    EXPECT_EQ(m.count(static_cast<CoreId>(c)), 0u);
-    m.insert(static_cast<CoreId>(c));
-    EXPECT_EQ(m.count(static_cast<CoreId>(c)), 1u);
+  // 0/63 bound the first word, 64/127 the second, 128 opens the third and
+  // 511 is the last id of the last word.
+  const std::vector<CoreId> ids{0, 63, 64, 127, 128, 511};
+  sim::CoreMask m;
+  for (CoreId c : ids) {
+    EXPECT_EQ(m.count(c), 0u);
+    m.insert(c);
+    EXPECT_EQ(m.count(c), 1u);
   }
-  EXPECT_EQ(m.size(), 5u);
+  EXPECT_EQ(m.size(), ids.size());
   std::vector<CoreId> walked;
   m.forEach([&](CoreId c) { walked.push_back(c); });
-  EXPECT_EQ(walked, (std::vector<CoreId>{63, 64, 65, 127, 128}));
+  EXPECT_EQ(walked, ids);
+  std::vector<CoreId> ranged;
+  for (CoreId c : m) ranged.push_back(c);
+  EXPECT_EQ(ranged, ids);
+
+  // rawWords() exposes every word: ids >= 64 must not be truncated into
+  // word 0.
+  const auto& words = m.rawWords();
+  ASSERT_EQ(words.size(), 8u);
+  EXPECT_EQ(words[0], (std::uint64_t{1} << 63) | std::uint64_t{1});  // 0, 63
+  EXPECT_EQ(words[1], (std::uint64_t{1} << 63) | std::uint64_t{1});  // 64, 127
+  EXPECT_EQ(words[2], std::uint64_t{1});                             // 128
+  for (unsigned w = 3; w < 7; ++w) EXPECT_EQ(words[w], std::uint64_t{0}) << w;
+  EXPECT_EQ(words[7], std::uint64_t{1} << 63);                       // 511
 
   // Erasing an id in one word must not disturb its neighbours.
   m.erase(64);
   EXPECT_EQ(m.count(63), 1u);
   EXPECT_EQ(m.count(64), 0u);
-  EXPECT_EQ(m.count(65), 1u);
-  EXPECT_EQ(m.size(), 4u);
-
-  // rawWords() exposes every word: ids >= 64 must not be truncated into
-  // word 0 (the old single-u64 raw() trap).
-  const auto words = m.rawWords();
-  EXPECT_EQ(words[0], std::uint64_t{1} << 63);                         // core 63
-  EXPECT_EQ(words[1], (std::uint64_t{1} << 1) | (std::uint64_t{1} << 63));  // 65, 127
-  EXPECT_EQ(words[2], std::uint64_t{1});                               // core 128
-  EXPECT_EQ(words[3], std::uint64_t{0});
-}
-
-TEST(CoreMask, SingleWordSpecializationKeepsRawWordsShape) {
-  sim::CoreMaskT<1> m;
-  m.insert(0);
-  m.insert(63);
-  const auto words = m.rawWords();
-  EXPECT_EQ(words.size(), 1u);
-  EXPECT_EQ(words[0], (std::uint64_t{1} << 63) | std::uint64_t{1});
+  EXPECT_EQ(m.count(127), 1u);
+  EXPECT_EQ(m.size(), ids.size() - 1);
+  m.erase(511);
+  m.erase(0);
+  walked.clear();
+  m.forEach([&](CoreId c) { walked.push_back(c); });
+  EXPECT_EQ(walked, (std::vector<CoreId>{63, 127, 128}));
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_TRUE(m.begin() == m.end());
 }
 
 // ----------------------------------------------------- wakeup table order

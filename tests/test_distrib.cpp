@@ -382,5 +382,30 @@ TEST(Distrib, UnwritableDoneRecordsAreCounted) {
   EXPECT_FALSE(m.complete());  // nothing reached done/: a resume redoes it
 }
 
+TEST(Distrib, CleanExitRemovesHeartbeat) {
+  // While jobs run the worker's heartbeat is on the spool; once runWorker
+  // returns normally it is gone, so `run` may take the finished spool over.
+  const std::string root = tempDir("distrib_hb_exit");
+  SweepManifest m = testManifest(root + "/art");
+  const ClaimStore observer(root + "/claims", "observer");
+  std::size_t beatsSeen = 0;
+  auto watchingRunner = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                            sim::SimContext& ctx) {
+    beatsSeen += observer.listHeartbeats().size();
+    return runSpec(spec, o, ctx);
+  };
+  WorkerOptions wopts;
+  wopts.workerId = "w1";
+  wopts.claimDir = root + "/claims";
+  wopts.heartbeatSeconds = 0.05;
+  wopts.pollSeconds = 0.01;
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const OrchestratorReport rep = runWorker(m, wopts, opts, watchingRunner);
+  EXPECT_EQ(rep.ran, m.jobs.size());
+  EXPECT_EQ(beatsSeen, m.jobs.size());
+  EXPECT_TRUE(observer.listHeartbeats().empty());
+}
+
 }  // namespace
 }  // namespace lktm::test

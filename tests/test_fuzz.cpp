@@ -78,6 +78,13 @@ struct FuzzCase {
   bool smallCache;
 };
 
+// Without this, gtest prints the raw bytes of the case, including the
+// `system` pointer, so the listed test ids change with every process.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << c.system << " " << c.threads << "t " << (c.smallCache ? "small" : "typical")
+      << " s" << c.seed;
+}
+
 class FuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(FuzzTest, AtomicAndCoherentUnderRandomWorkloads) {

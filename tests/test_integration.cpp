@@ -227,5 +227,24 @@ TEST(Integration, MachinePresetsMatchPaper) {
   EXPECT_EQ(MachineParams::largeCache().l1.sizeBytes, 128u * 1024);
 }
 
+TEST(Integration, MachineValidateLimitsCoresTo512) {
+  // Builds the parameters only; no simulation starts.
+  MachineOverrides ov;
+  ov.cores = 512;
+  MachineParams ok = MachineParams::typical();
+  applyMachineOverrides(ok, ov);
+  EXPECT_NO_THROW(ok.validate());
+
+  ov.cores = 513;
+  MachineParams tooMany = MachineParams::typical();
+  applyMachineOverrides(tooMany, ov);
+  try {
+    tooMany.validate();
+    ADD_FAILURE() << "513 cores were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("512"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace lktm::cfg

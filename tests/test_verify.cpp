@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <string>
 
+#include "sim/trace.hpp"
+#include "stats/json.hpp"
 #include "verify/checker.hpp"
 #include "verify/harness.hpp"
 #include "verify/invariants.hpp"
@@ -225,6 +227,37 @@ TEST(Checker, InjectedSwmrBugIsFound) {
   ASSERT_TRUE(r.cex.has_value());
   EXPECT_FALSE(r.cex->schedule.empty());
   EXPECT_FALSE(r.cex->trace.empty());
+}
+
+TEST(Checker, CounterexampleCarriesWellNestedEventTrace) {
+  // DFS paths run untraced; the violating path is re-run with a sink, so the
+  // counterexample still carries its Chrome event trace.
+  ModelConfig cfg = mustConfig("2c1l");
+  cfg.bug = coh::DirectoryController::InjectedBug::SwmrSkipInvalidation;
+  const CheckResult r = ModelChecker(cfg).run();
+  ASSERT_TRUE(r.cex.has_value());
+  ASSERT_FALSE(r.cex->traceJson.empty());
+
+  const stats::json::Value doc = stats::json::parse(r.cex->traceJson);
+  const stats::json::Value* events = doc.find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->isArray());
+  std::vector<std::string> names;  // storage behind the decoded char* names
+  names.reserve(events->array->size());
+  std::vector<sim::TraceEvent> decoded;
+  for (const stats::json::Value& e : *events->array) {
+    const std::string ph = e.find("ph")->text;
+    if (ph == "M") continue;  // lane metadata
+    names.push_back(e.find("name")->text);
+    sim::TraceEvent ev;
+    ev.name = names.back().c_str();
+    ev.ph = ph.at(0);
+    ev.ts = static_cast<Cycle>(e.find("ts")->number);
+    ev.tid = static_cast<std::int32_t>(e.find("tid")->number);
+    decoded.push_back(ev);
+  }
+  EXPECT_FALSE(decoded.empty());
+  std::string why;
+  EXPECT_TRUE(sim::TraceSink::nestingWellFormed(decoded, &why)) << why;
 }
 
 TEST(Checker, CounterexampleRoundTripsAndReplays) {

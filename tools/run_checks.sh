@@ -7,13 +7,14 @@
 # recorded in simbench/BASELINE.json (simulated results byte-identical), run
 # clang-tidy over src/ when the tool is installed, validate a --stats-json
 # artifact against the lktm.stats.v1 schema, smoke the 128-core banked
-# directory path (or, on a 64-core-capped build, verify its rejection
-# diagnostic), run the bounded 2-bank model-checker configs (clean + the
+# directory path (and the plain rejection of a 513-core machine), run the
+# bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
 # (interrupt + resume, and a SIGKILLed live run + resume, must merge
 # bit-identical to an uninterrupted run, under the default and sanitize
 # builds; so must a run stopped after 3 jobs and finished by two 'work'
-# processes on the same spool), smoke the distributed fan-out (3 workers
+# processes on the same spool, and a later 'run' on that spool must run
+# nothing), smoke the distributed fan-out (3 workers
 # on one claim spool, one SIGKILLed mid-job and reclaimed via heartbeat
 # lease, merge must cmp equal to a single-process run — default and sanitize
 # builds), smoke the database-traffic family (ycsb on the TL2 backend must
@@ -21,9 +22,9 @@
 # merge bit-identically across 1 host thread, 4 host threads and a 2-worker
 # distributed run — default and sanitize builds), enforce the bench/
 # artifact size cap, re-run the committed
-# 128-core fig07 grid split across 2 worker processes on the bigcores build
-# (summary must cmp equal to the committed lktm.summary.v1), build + test
-# the trace preset (LKTM_TRACE=ON), run the lktm_lint determinism linter
+# 128-core fig07 grid split across 2 worker processes on the default build
+# (summary must cmp equal to the committed lktm.summary.v1), run the
+# lktm_lint determinism linter
 # (self-test must catch every planted violation; src/ and tools/ must be
 # clean; the lktm.lint.v1 artifact must validate), build the TSan preset and run the
 # host-parallel sweep tests under ThreadSanitizer, then build the release
@@ -139,32 +140,28 @@ echo "== lktm_lint: src/ + tools/ must be clean (emit + validate artifact) =="
 ./build/tools/lktm_lint --root . --json build/lint_check.json --quiet src tools
 ./build/tools/validate_stats_json build/lint_check.json
 
-echo "== large-core smoke: 128-core banked directory (needs bigcores build) =="
+echo "== large-core smoke: 128-core banked directory + the 512-core limit =="
 run_bigcore_smoke() {
-  # $1 = build dir. A 64-core-capped build must *reject* the 128-core machine
-  # with a clear diagnostic; a bigcores build must run it end to end with the
-  # coherence checker on and produce a valid artifact carrying the new
-  # cores/banks metadata.
+  # $1 = build dir. The 128-core machine must run end to end with the
+  # coherence checker on and produce a valid artifact carrying the
+  # cores/banks metadata; a 513-core machine must be rejected with the
+  # 512-core limit named.
   local bdir="$1" out
   out="$bdir/bigcore_check.json"
-  if "$bdir/tools/lktm-sim" --list | grep -q "up to 64 cores"; then
-    if "$bdir/tools/lktm-sim" --machine typical-c128-b8 --workload counter \
-        --threads 8 >/dev/null 2>"$bdir/bigcore_reject.txt"; then
-      echo "64-core build accepted a 128-core machine" >&2
-      return 1
-    fi
-    grep -q "LKTM_MAX_CORES" "$bdir/bigcore_reject.txt" || {
-      echo "128-core rejection lacks the rebuild hint" >&2
-      return 1
-    }
-    echo "  (64-core build: verified the clear rejection diagnostic)"
-  else
-    "$bdir/tools/lktm-sim" --machine typical --cores 128 --banks 8 \
-      --system LockillerTM --workload counter --threads 96 \
-      --stats-json "$out" >/dev/null
-    "$bdir/tools/validate_stats_json" "$out"
-    echo "  (128-core banked run completed and validated)"
+  "$bdir/tools/lktm-sim" --machine typical --cores 128 --banks 8 \
+    --system LockillerTM --workload counter --threads 96 \
+    --stats-json "$out" >/dev/null
+  "$bdir/tools/validate_stats_json" "$out"
+  if "$bdir/tools/lktm-sim" --cores 513 --workload counter --threads 8 \
+      >/dev/null 2>"$bdir/bigcore_reject.txt"; then
+    echo "lktm-sim accepted a 513-core machine" >&2
+    return 1
   fi
+  grep -q "limit of 512 cores" "$bdir/bigcore_reject.txt" || {
+    echo "513-core rejection does not name the 512-core limit" >&2
+    return 1
+  }
+  echo "  (128-core banked run validated; 513 cores rejected)"
 }
 run_bigcore_smoke build
 
@@ -290,10 +287,18 @@ run_spool_handoff_smoke() {
     echo "the workers ran ${ran:-no} jobs after 'run --max-jobs 3'; expected 5" >&2
     return 1
   }
+  # Clean worker exits take their heartbeats along, so 'run' may now own the
+  # spool: it must exit 0 without running a job.
+  "$bdir/tools/lktm_sweep" run --manifest "$d/mix/sweep.json" >"$d/mix/run.txt"
+  grep -q "ran 0," "$d/mix/run.txt" || {
+    echo "'run' after the workers did not finish with zero jobs run:" >&2
+    cat "$d/mix/run.txt" >&2
+    return 1
+  }
   "$bdir/tools/lktm_sweep" merge --manifest "$d/mix/sweep.json" \
     --out "$d/mix/merged.json" >/dev/null
   cmp "$d/ref/merged.json" "$d/mix/merged.json"
-  echo "  (run --max-jobs 3 finished by 2 workers, merged bit-identical)"
+  echo "  (run --max-jobs 3 finished by 2 workers, then run ran 0; merged bit-identical)"
 }
 run_spool_handoff_smoke build
 
@@ -413,13 +418,6 @@ if find bench -type f -size +262144c | grep .; then
   exit 1
 fi
 
-echo "== configure + build: trace (LKTM_TRACE=ON) =="
-cmake --preset trace >/dev/null
-cmake --build build-trace -j "$JOBS"
-
-echo "== ctest: trace (full suite with tracing compiled in) =="
-ctest --preset trace
-
 echo "== configure + build: tsan (ThreadSanitizer) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_sweep test_distrib
@@ -459,37 +457,34 @@ run_banked_check build-sanitize
 echo "== TM backends smoke under ASan/UBSan =="
 run_backend_smoke build-sanitize
 
-echo "== bigcores grid: 128-core sweep split across 2 worker processes =="
-# Build only the sweep tools of the bigcores preset (LKTM_MAX_CORES=256) and
-# re-run the committed fig07 128-core grid as a 2-worker distributed sweep.
-# Every job must end ok, both workers must have finished jobs, and the
-# regenerated lktm.summary.v1 must cmp equal to the committed artifact —
-# the strongest cross-check that the distributed path reproduces the grid
-# the single-process PR-6 run produced.
-cmake --preset bigcores >/dev/null
-cmake --build build-bigcores -j "$JOBS" --target lktm_sweep validate_stats_json
-d="build-bigcores/bigcores_distrib_check"
+echo "== 128-core fig07 grid: sweep split across 2 worker processes =="
+# Re-run the committed fig07 128-core grid as a 2-worker distributed sweep on
+# the default build. Every job must end ok, both workers must have finished
+# jobs, and the regenerated lktm.summary.v1 must cmp equal to the committed
+# artifact — the strongest cross-check that the distributed path reproduces
+# the grid the single-process run produced.
+d="build/bigcores_distrib_check"
 rm -rf "$d" && mkdir -p "$d"
-build-bigcores/tools/lktm_sweep plan --preset bigcores-128 \
+build/tools/lktm_sweep plan --preset bigcores-128 \
   --manifest "$d/bc.json" --shards 2 >/dev/null
-build-bigcores/tools/lktm_sweep work --manifest "$d/bc.json" \
+build/tools/lktm_sweep work --manifest "$d/bc.json" \
   --worker-id grid-a --shard 0 --quiet >/dev/null &
 WA=$!
-build-bigcores/tools/lktm_sweep work --manifest "$d/bc.json" \
+build/tools/lktm_sweep work --manifest "$d/bc.json" \
   --worker-id grid-b --shard 1 --quiet >/dev/null &
 WB=$!
 wait "$WA"   # exit 0 iff the whole grid is complete && all ok
 wait "$WB"
 for w in grid-a grid-b; do
   grep -lq "\"worker\":\"$w\"" "$d/bc.json.claims/done"/* || {
-    echo "bigcores grid was not split: $w finished no jobs" >&2
+    echo "128-core grid was not split: $w finished no jobs" >&2
     exit 1
   }
 done
-build-bigcores/tools/lktm_sweep merge --manifest "$d/bc.json" \
+build/tools/lktm_sweep merge --manifest "$d/bc.json" \
   --out "$d/merged.json" --summary "$d/summary.json" >/dev/null
 cmp "$d/summary.json" bench/bigcores/fig07_bigcores_128_summary.json
-build-bigcores/tools/validate_stats_json "$d/bc.json" "$d/merged.json" \
+build/tools/validate_stats_json "$d/bc.json" "$d/merged.json" \
   "$d/summary.json"
 echo "  (36-job 128-core grid split 2 ways, all ok, summary matches committed)"
 
