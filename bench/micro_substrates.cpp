@@ -279,6 +279,48 @@ void BM_WakeupDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_WakeupDrain);
 
+/// One commit and one abort per iteration on a full 512-way L1 (32 KB,
+/// 4-way) whose transactions touch 8 lines, all L1 hits: the commit and
+/// abort walks visit the footprint, not the whole array. Read-set lines
+/// survive the abort so no iteration pays a refill.
+void BM_L1CommitAbortWalk(benchmark::State& state) {
+  constexpr LineAddr kWays = 512;
+  constexpr LineAddr kFootprint = 8;
+  sim::SimContext ctx;
+  noc::IdealNetwork net(ctx, 1);
+  mem::MainMemory memory;
+  coh::ProtocolParams params;
+  params.invalidateReadSetOnAbort = false;
+  coh::DirectoryController dir(ctx, net, memory, params, 1);
+  coh::L1Controller l1(ctx, net, 0, {32 * 1024, 4}, params, core::TmPolicy{}, 1);
+  l1.connectDirectory(&dir);
+  dir.connectL1(0, &l1);
+  auto drain = [&] { ctx.queue().runUntilDrained(1'000'000'000); };
+  for (LineAddr l = 0; l < kWays; ++l) {
+    l1.store(byteOf(l), l, [] {});
+    drain();
+  }
+  for (auto _ : state) {
+    l1.txBegin();
+    for (LineAddr l = 0; l < kFootprint; ++l) {
+      l1.store(byteOf(l * 61), l, [] {});
+      drain();
+    }
+    l1.txCommit([] {});
+    drain();
+    l1.txBegin();
+    for (LineAddr l = 0; l < kFootprint; ++l) {
+      l1.load(byteOf(l * 61), [](std::uint64_t) {});
+      drain();
+    }
+    l1.txAbort(AbortCause::Explicit);
+    drain();
+  }
+  benchmark::DoNotOptimize(l1.hits());
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_L1CommitAbortWalk);
+
 void BM_SignatureInsertQuery(benchmark::State& state) {
   mem::BloomSignature sig(2048, 4);
   std::uint64_t hits = 0;

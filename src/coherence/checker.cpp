@@ -1,6 +1,7 @@
 #include "coherence/checker.hpp"
 
-#include <map>
+#include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,11 +9,9 @@ namespace lktm::coh {
 
 namespace {
 struct Copy {
+  LineAddr line;
   CoreId core;
-  mem::MesiState state;
-  bool dirty;
-  bool txBits;
-  mem::LineData data;
+  const mem::CacheEntry* entry;
 };
 }  // namespace
 
@@ -29,13 +28,12 @@ std::vector<std::string> CoherenceChecker::check() const {
                   " busy lines");
   }
 
-  std::map<LineAddr, std::vector<Copy>> copies;
+  std::vector<Copy> copies;
   for (std::size_t i = 0; i < l1s_.size(); ++i) {
     const L1Controller* l1 = l1s_[i];
     const CoreId core = static_cast<CoreId>(i);
     l1->cache().forEachValid([&](const mem::CacheEntry& e) {
-      copies[e.line].push_back(
-          Copy{core, e.state, e.dirty, e.transactional(), e.data});
+      copies.push_back(Copy{e.line, core, &e});
     });
     if (l1->mode() == TxMode::None) {
       const auto txLines = l1->cache().countIf(
@@ -46,17 +44,27 @@ std::vector<std::string> CoherenceChecker::check() const {
       }
     }
   }
+  // A core holds a line at most once, so (line, core) is a total order.
+  std::sort(copies.begin(), copies.end(), [](const Copy& a, const Copy& b) {
+    return a.line != b.line ? a.line < b.line : a.core < b.core;
+  });
 
-  for (const auto& [line, cs] : copies) {
+  for (auto first = copies.begin(); first != copies.end();) {
+    const LineAddr line = first->line;
+    const auto last = std::find_if(
+        first, copies.end(), [&](const Copy& c) { return c.line != line; });
+    const std::span<const Copy> cs(first, last);
+    first = last;
+
     unsigned exclusive = 0;
     unsigned dirtyCount = 0;
     CoreId owner = kNoCore;
     for (const Copy& c : cs) {
-      if (c.state == mem::MesiState::E || c.state == mem::MesiState::M) {
+      if (c.entry->state == mem::MesiState::E || c.entry->state == mem::MesiState::M) {
         ++exclusive;
         owner = c.core;
       }
-      if (c.dirty) ++dirtyCount;
+      if (c.entry->dirty) ++dirtyCount;
     }
     if (exclusive > 1) fail(line, "multiple E/M copies (SWMR violated)");
     if (exclusive == 1 && cs.size() > 1) fail(line, "E/M copy coexists with sharers");
@@ -68,15 +76,15 @@ std::vector<std::string> CoherenceChecker::check() const {
                      " but E/M copy at core " + std::to_string(owner));
     }
     for (const Copy& c : cs) {
-      if (c.state == mem::MesiState::S && snap.owner == kNoCore &&
+      if (c.entry->state == mem::MesiState::S && snap.owner == kNoCore &&
           snap.sharers.count(c.core) == 0) {
         fail(line, "S copy at core " + std::to_string(c.core) +
                        " missing from the sharer list");
       }
       // Clean copies must agree with the LLC (value coherence). Dirty copies
       // are by definition newer.
-      if (!c.dirty && !c.txBits && dir_->llcHas(line) &&
-          c.data != dir_->llcData(line)) {
+      if (!c.entry->dirty && !c.entry->transactional() && dir_->llcHas(line) &&
+          c.entry->data != dir_->llcData(line)) {
         fail(line, "clean copy at core " + std::to_string(c.core) +
                        " disagrees with the LLC");
       }

@@ -57,7 +57,11 @@ class DirectoryController final : public MsgSink {
 
   /// Warm the inclusive LLC with the lines [from, to) before simulation, so
   /// short benchmark runs measure steady-state behaviour instead of cold-miss
-  /// serialization (documented substitution in DESIGN.md).
+  /// serialization (documented substitution in DESIGN.md). The range is
+  /// recorded, not copied: a warm line is filled from memory on its first
+  /// LLC access, at hit latency. Memory does not change during a run, so that
+  /// lazy fill reads what an eager copy would have read; the DRAM reads of
+  /// the lines not already present are counted here. One range per run.
   void preloadLlc(LineAddr from, LineAddr to);
 
   void onMessage(const Msg& msg) override;
@@ -70,7 +74,9 @@ class DirectoryController final : public MsgSink {
   };
   DirSnapshot snapshot(LineAddr line) const;
 
-  bool llcHas(LineAddr line) const { return bankFor(line).llc.contains(line); }
+  bool llcHas(LineAddr line) const {
+    return isWarm(line) || bankFor(line).llc.contains(line);
+  }
   mem::LineData llcData(LineAddr line) const;
 
   unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
@@ -189,6 +195,11 @@ class DirectoryController final : public MsgSink {
   unsigned clearAcksLeft_ = 0;
   CoreId clearingCore_ = kNoCore;
 
+  // Warm LLC range [warmFrom_, warmTo_): resident by definition, filled from
+  // memory on first access (see preloadLlc).
+  LineAddr warmFrom_ = 0;
+  LineAddr warmTo_ = 0;
+
   stats::Counter& llcHits_;
   stats::Counter& llcMisses_;
   stats::Counter& writebacks_;
@@ -199,6 +210,7 @@ class DirectoryController final : public MsgSink {
   InjectedBug bug_ = InjectedBug::None;
 
   // --- helpers ---
+  bool isWarm(LineAddr line) const { return line >= warmFrom_ && line < warmTo_; }
   Bank& bankFor(LineAddr line) { return banks_[bankOfLine(line)]; }
   const Bank& bankFor(LineAddr line) const { return banks_[bankOfLine(line)]; }
 

@@ -1,5 +1,6 @@
 #include "coherence/l1_controller.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -127,6 +128,7 @@ void L1Controller::completeOnLine(mem::CacheEntry& e) {
   cache_.touch(e);
   const unsigned w = wordOf(op_.addr);
   if (inAnyTx()) {
+    if (!e.transactional()) footprint_.push_back(cache_.indexOf(e));
     if (op_.kind == OpKind::Load) {
       e.txRead = true;
     } else {
@@ -264,6 +266,17 @@ void L1Controller::txCommit(DoneFn done) {
 
 void L1Controller::txAbort(AbortCause cause) { txAbortInternal(cause, nullptr); }
 
+template <typename Fn>
+void L1Controller::forEachTxWay(Fn&& fn) {
+  std::sort(footprint_.begin(), footprint_.end());
+  footprint_.erase(std::unique(footprint_.begin(), footprint_.end()), footprint_.end());
+  for (const std::uint32_t way : footprint_) {
+    mem::CacheEntry& e = cache_.at(way);
+    if (e.valid() && e.transactional()) fn(e);
+  }
+  footprint_.clear();
+}
+
 void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine) {
   assert(mode_ == TxMode::Htm && "lock transactions are irrevocable");
   txc_.recordAbort(cause);
@@ -283,7 +296,7 @@ void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine)
 
   // Discard speculatively-written lines; tell the directory so it stops
   // considering us the owner (the LLC still holds pre-images).
-  cache_.forEachValid([&](mem::CacheEntry& e) {
+  forEachTxWay([&](mem::CacheEntry& e) {
     if (exceptLine != nullptr && e.line == *exceptLine) return;  // caller handles
     if (e.txWrite) {
       Msg inv{.type = MsgType::TxAbortInv, .line = e.line};
@@ -308,7 +321,7 @@ void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine)
 }
 
 void L1Controller::clearTxBitsAndWake() {
-  cache_.forEachValid([](mem::CacheEntry& e) { e.txRead = e.txWrite = false; });
+  forEachTxWay([](mem::CacheEntry& e) { e.txRead = e.txWrite = false; });
   for (const auto& wkp : wakeups_.drainAll()) {
     sendWakeup(wkp.core, wkp.line);
     ++txc_.wakeupsSent;

@@ -142,6 +142,10 @@ class L1Controller final : public MsgSink {
   sim::FlatLineTable<mem::LineData> wb_;  ///< dirty evictions awaiting PutAck
   core::WakeupTable wakeups_;
   sim::FlatLineSet ofRd_, ofWr_;  ///< exact local view of the LLC signatures
+  /// Ways whose tx bits the running transaction set, appended when a way's
+  /// first tx bit is set. A way may repeat or have since been evicted or
+  /// reused; forEachTxWay filters. Commit and abort walk only these ways.
+  std::vector<std::uint32_t> footprint_;
 
   TxMode mode_ = TxMode::None;
   bool triedSwitch_ = false;
@@ -190,6 +194,10 @@ class L1Controller final : public MsgSink {
   void drainBlockedExternal();
 
   // transactions
+  /// Visit every valid transactional way once, in cache-index order (the
+  /// order of a whole-cache walk), then forget the footprint.
+  template <typename Fn>
+  void forEachTxWay(Fn&& fn);
   void txAbortInternal(AbortCause cause, const LineAddr* exceptLine);
   void clearTxBitsAndWake();
 };

@@ -15,6 +15,7 @@
 #include "noc/mesh.hpp"
 #include "runtime/backends/backend.hpp"
 #include "sim/engine.hpp"
+#include "sim/flat_table.hpp"
 #include "stats/tx_stats.hpp"
 
 namespace lktm::cfg {
@@ -163,9 +164,6 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
       backendName,
       tm::BackendConfig{cfg.system.policy, cfg.system.retry, wl::kFallbackLockAddr});
   res.backend = backend->name();
-  // The footprint guard must precede the LLC warm-up: preloading a footprint
-  // that reaches the STM scratch region would allocate LLC state for the
-  // whole (possibly enormous) range before the rejection fires.
   if (backend->usesStmScratch() && workload->footprintEnd() > tm::kStmScratchBase) {
     throw std::invalid_argument(
         "backend '" + backendName + "': workload '" + res.workload +
@@ -173,9 +171,8 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
         std::to_string(tm::kStmScratchBase) + ")");
   }
 
-  if (cfg.warmLlc) {
-    dir.preloadLlc(lineOf(wl::kFallbackLockAddr), lineOf(workload->footprintEnd()) + 1);
-  }
+  // Warm the inclusive LLC with the workload footprint (steady-state runs).
+  dir.preloadLlc(lineOf(wl::kFallbackLockAddr), lineOf(workload->footprintEnd()) + 1);
 
   std::vector<std::unique_ptr<coh::L1Controller>> l1s;
   l1s.reserve(n);
@@ -248,12 +245,20 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   }
 
   if (res.status == RunStatus::Ok && cfg.verifyWorkload) {
-    // Coherent word reader: freshest dirty L1 copy > LLC > main memory.
+    // Coherent word reader: freshest dirty L1 copy > LLC > main memory. The
+    // dirty copies are indexed once; the lowest core id wins a line.
+    sim::FlatLineTable<const mem::LineData*> dirty;
+    for (auto& l1 : l1s) {
+      l1->cache().forEachValid([&](const mem::CacheEntry& e) {
+        if (!e.dirty) return;
+        auto [slot, inserted] = dirty.tryEmplace(e.line);
+        if (inserted) *slot = &e.data;
+      });
+    }
     wl::WordReader read = [&](Addr addr) -> std::uint64_t {
       const LineAddr line = lineOf(addr);
-      for (auto& l1 : l1s) {
-        const mem::CacheEntry* e = l1->cache().find(line);
-        if (e != nullptr && e->dirty) return e->data[wordOf(addr)];
+      if (const mem::LineData* const* data = dirty.find(line)) {
+        return (**data)[wordOf(addr)];
       }
       if (dir.llcHas(line)) return dir.llcData(line)[wordOf(addr)];
       return memory.readWord(addr);

@@ -130,8 +130,6 @@ struct RunConfig {
   double wallBudgetSeconds = 0.0;
   bool runCoherenceChecker = true;
   bool verifyWorkload = true;
-  /// Warm the inclusive LLC with the workload footprint (steady-state runs).
-  bool warmLlc = true;
   /// Optional event-trace sink (filtered by its category mask). The run
   /// installs it on the SimContext for its duration; caller keeps ownership.
   sim::TraceSink* traceSink = nullptr;

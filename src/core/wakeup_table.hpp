@@ -3,16 +3,18 @@
 // the WaitWakeup policy, the rejecting side records which core to wake; the
 // table is drained when the local transaction commits or aborts.
 //
-// Storage is a flat open-addressed table of per-line CoreMask bitsets; drains
-// walk lines in ascending order and cores in ascending id order, which is
-// exactly the old std::map<LineAddr, std::set<CoreId>> order.
+// Storage is a small vector of (line, core) keys kept sorted and free of
+// duplicates: a transaction rejects a handful of requesters, so an insertion
+// shift is cheaper than hashing. A key packs the line above the core id, so
+// integer order is (line, core) order: drains walk lines in ascending order
+// and cores in ascending id order, which is exactly the old
+// std::map<LineAddr, std::set<CoreId>> order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/core_mask.hpp"
-#include "sim/flat_table.hpp"
 #include "sim/types.hpp"
 
 namespace lktm::core {
@@ -25,10 +27,10 @@ class WakeupTable {
   };
 
   /// Record that `core`'s request for `line` was rejected here.
-  void record(LineAddr line, CoreId core) { table_[line].insert(core); }
+  void record(LineAddr line, CoreId core);
 
-  bool empty() const { return table_.empty(); }
-  std::size_t size() const;
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
 
   /// Remove and return every recorded waiter (commit/abort of the local
   /// transaction releases all lines at once). Deterministic order.
@@ -42,13 +44,20 @@ class WakeupTable {
   /// model checker's state fingerprints and no-lost-wakeup invariant.
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    table_.forEachOrdered([&](LineAddr line, const sim::CoreMask& m) {
-      m.forEach([&](CoreId c) { fn(line, c); });
-    });
+    for (const std::uint64_t k : keys_) fn(lineOfKey(k), coreOfKey(k));
   }
 
  private:
-  sim::FlatLineTable<sim::CoreMask> table_;
+  static constexpr unsigned kCoreBits = 9;
+  static_assert(sim::CoreMask::kMaxCores <= (1u << kCoreBits));
+
+  static std::uint64_t keyOf(LineAddr line, CoreId core);
+  static LineAddr lineOfKey(std::uint64_t k) { return k >> kCoreBits; }
+  static CoreId coreOfKey(std::uint64_t k) {
+    return static_cast<CoreId>(k & ((1u << kCoreBits) - 1));
+  }
+
+  std::vector<std::uint64_t> keys_;  // ascending, no duplicates
 };
 
 }  // namespace lktm::core

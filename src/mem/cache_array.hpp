@@ -96,7 +96,14 @@ class CacheArray {
   /// Install `line` into the given (previously victimized) entry.
   void install(CacheEntry& e, LineAddr line, MesiState st, const LineData& data);
 
-  /// Iterate over every valid entry (used for commit/abort walks & checkers).
+  /// Position of `e` in the backing array: set-major, then way — the order
+  /// forEachValid walks. Stable for the array's lifetime.
+  std::uint32_t indexOf(const CacheEntry& e) const {
+    return static_cast<std::uint32_t>(&e - entries_.data());
+  }
+  CacheEntry& at(std::uint32_t index) { return entries_[index]; }
+
+  /// Iterate over every valid entry (checkers and whole-cache statistics).
   template <class Fn>
   void forEachValid(Fn&& fn) {
     for (auto& e : entries_) {

@@ -8,10 +8,18 @@ void MainMemory::attachStats(stats::StatRegistry& reg) {
 }
 
 LineData MainMemory::readLine(LineAddr line) const {
-  if (lineReads_ != nullptr) ++*lineReads_;
+  countLineReads(1);
+  return peekLine(line);
+}
+
+LineData MainMemory::peekLine(LineAddr line) const {
   auto it = store_.find(line);
   if (it == store_.end()) return LineData{};
   return it->second;
+}
+
+void MainMemory::countLineReads(std::uint64_t n) const {
+  if (lineReads_ != nullptr) *lineReads_ += n;
 }
 
 void MainMemory::writeLine(LineAddr line, const LineData& data) {

@@ -23,6 +23,11 @@ class MainMemory {
 
   /// Read a whole line; absent lines read as zero.
   LineData readLine(LineAddr line) const;
+  /// readLine without counting: the directory's warm LLC range serves lines
+  /// whose DRAM read was already counted when the range was warmed.
+  LineData peekLine(LineAddr line) const;
+  /// Count `n` line reads that happen as one bulk transfer (LLC warm-up).
+  void countLineReads(std::uint64_t n) const;
 
   void writeLine(LineAddr line, const LineData& data);
 

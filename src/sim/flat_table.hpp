@@ -50,15 +50,6 @@ class FlatLineTable {
 
   bool contains(LineAddr key) const { return findSlot(key) != kNpos; }
 
-  /// Pre-size the slab for at least `n` entries (respecting the max load
-  /// factor), so bulk fills like the LLC preload pay one sizing instead of a
-  /// geometric rehash cascade of 80-byte slots.
-  void reserve(std::size_t n) {
-    std::size_t want = kMinCapacity;
-    while (n * 4 > want * 3) want *= 2;
-    if (want > slots_.size()) rehashTo(want);
-  }
-
   V* find(LineAddr key) {
     const std::size_t i = findSlot(key);
     return i == kNpos ? nullptr : &slots_[i].value;

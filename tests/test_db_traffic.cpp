@@ -246,11 +246,11 @@ TEST(DbTraffic, StmScratchFootprintGuardFiresBeforeWarmup) {
     EXPECT_NE(std::string(e.what()).find("metadata region"), std::string::npos)
         << e.what();
   }
-  // The elision backends keep no scratch metadata: the same store runs.
+  // The elision backends keep no scratch metadata: the same store runs, with
+  // its >1 GiB footprint warmed into the LLC (a recorded range, not a copy).
   cfg::RunConfig ok;
   ok.system = cfg::systemByName("LockillerTM");
   ok.threads = 1;
-  ok.warmLlc = false;  // don't walk a >1 GiB footprint into the LLC
   const cfg::RunResult r =
       cfg::runSimulation(ok, [] { return std::make_unique<HugeRowStore>(); });
   EXPECT_TRUE(r.ok()) << r.str();

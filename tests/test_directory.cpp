@@ -374,5 +374,66 @@ TEST(Directory, ColdMissPaysMemoryLatency) {
   EXPECT_LT(h.engine.now() - t1, h.params.llcLatency + h.params.memLatency);
 }
 
+std::uint64_t statValue(const DirHarness& h, const char* path) {
+  return h.ctx.stats().snapshot().value(path);
+}
+
+TEST(Directory, WarmRangeCountsEachLineOnceAndAnswersUnfetchedLines) {
+  DirHarness h;
+  h.memory.attachStats(h.ctx.stats());
+  h.memory.writeWord(byteOf(3), 5);
+  h.dir.preloadLlc(0, 100);
+  EXPECT_EQ(statValue(h, "mem.line_reads"), 100u);
+
+  // Unfetched warm lines answer from memory without further DRAM reads.
+  EXPECT_TRUE(h.dir.llcHas(3));
+  EXPECT_TRUE(h.dir.llcHas(99));
+  EXPECT_FALSE(h.dir.llcHas(100));
+  EXPECT_EQ(h.dir.llcData(3)[0], 5u);
+  EXPECT_EQ(h.dir.llcData(42), mem::LineData{});
+  EXPECT_EQ(statValue(h, "mem.line_reads"), 100u);
+}
+
+TEST(Directory, WarmRangeKeepsResidentLinesAndCountsThemOnce) {
+  DirHarness h;
+  h.memory.attachStats(h.ctx.stats());
+  h.sendToDir(h.req(MsgType::GetS, 7, 0));  // cold: one DRAM read
+  h.drain();
+  h.l1s[0].expect(MsgType::DataE);
+  h.sendToDir(h.req(MsgType::Unblock, 7, 0));
+  Msg put;
+  put.type = MsgType::PutM;
+  put.line = 7;
+  put.from = 0;
+  put.hasData = true;
+  put.data[0] = 99;
+  h.sendToDir(put);
+  h.drain();
+  h.l1s[0].expect(MsgType::PutAck);
+  EXPECT_EQ(statValue(h, "mem.line_reads"), 1u);
+
+  h.dir.preloadLlc(6, 10);  // 6, 8, 9 are new; 7 is already resident
+  EXPECT_EQ(statValue(h, "mem.line_reads"), 4u);
+  EXPECT_EQ(h.dir.llcData(7)[0], 99u);  // not overwritten by memory
+}
+
+TEST(Directory, GetSToWarmLinePaysOnlyLlcLatency) {
+  DirHarness h;
+  h.memory.attachStats(h.ctx.stats());
+  h.memory.writeWord(byteOf(12), 21);
+  h.dir.preloadLlc(10, 20);
+  const Cycle t0 = h.engine.now();
+  h.sendToDir(h.req(MsgType::GetS, 12, 2));
+  h.drain();
+  const Msg data = h.l1s[2].expect(MsgType::DataE);
+  const Cycle warm = h.engine.now() - t0;
+  EXPECT_EQ(data.data[0], 21u);
+  EXPECT_GE(warm, h.params.llcLatency);
+  EXPECT_LT(warm, h.params.llcLatency + h.params.memLatency);
+  EXPECT_EQ(h.dir.llcHits(), 1u);
+  EXPECT_EQ(h.dir.llcMisses(), 0u);
+  EXPECT_EQ(statValue(h, "mem.line_reads"), 10u);
+}
+
 }  // namespace
 }  // namespace lktm::test

@@ -37,6 +37,32 @@ TEST(Htm, AbortDiscardsSpeculativeStores) {
   sys.expectCoherent();
 }
 
+/// Records the line of every TxAbortInv at the moment it is sent.
+struct AbortInvLog final : coh::MsgTap {
+  std::vector<LineAddr> lines;
+  void onSend(const coh::Msg& m, noc::NodeId, noc::NodeId) override {
+    if (m.type == coh::MsgType::TxAbortInv) lines.push_back(m.line);
+  }
+  void onDeliver(const coh::Msg&, noc::NodeId, noc::NodeId) override {}
+};
+
+TEST(Htm, AbortInvalidatesWriteSetInCacheIndexOrder) {
+  // The abort walks only the transaction's footprint, yet must send the
+  // TxAbortInvs in the order a whole-cache walk would: by set, not by the
+  // order the lines were written.
+  TestSystem sys;
+  const LineAddr set0 = lineOf(kA) - lineOf(kA) % sys.l1(0).cache().numSets();
+  AbortInvLog log;
+  sys.ctx().setVerifyTap(&log);
+  sys.l1(0).txBegin();
+  for (const LineAddr set : {5u, 0u, 3u}) sys.store(0, byteOf(set0 + set), set);
+  sys.l1(0).txAbort(AbortCause::Explicit);
+  sys.ctx().setVerifyTap(nullptr);
+  EXPECT_EQ(log.lines, (std::vector<LineAddr>{set0, set0 + 3, set0 + 5}));
+  sys.drain();
+  sys.expectCoherent();
+}
+
 TEST(Htm, AbortRestoresPreImageOfDirtyLine) {
   // A line dirty with *pre-transaction* data is speculatively overwritten;
   // the WbClean pre-image flush (Fig 3 support) must preserve the old value.

@@ -134,6 +134,29 @@ TEST(HtmLock, OverflowSpillsIntoLlcSignatures) {
   sys.expectCoherent();
 }
 
+TEST(HtmLock, HlEndClearsTxBitsOfSpilledAndReusedWays) {
+  // Five stores to one 4-way set: the fifth spills the LRU tx line through
+  // the signatures and reuses its way for a new tx line. hlend must clear the
+  // tx bits of every way the lock transaction marked, the reused one too.
+  TestSystem sys(htmLockOpts(false, {8 * 1024, 4}));  // 32 sets
+  sys.hlBegin(0);
+  for (int i = 0; i < 5; ++i) {
+    sys.store(0, kA + static_cast<Addr>(i) * 32 * kLineBytes, 10 + i);
+  }
+  sys.load(0, kA + 7 * kLineBytes);  // a read-set line in another set
+  sys.drain();
+  ASSERT_TRUE(sys.dir().htmlockUnit().writeSig().mayContain(lineOf(kA)));
+  EXPECT_EQ(sys.l1(0).cache().countIf(
+                [](const mem::CacheEntry& e) { return e.transactional(); }),
+            5u);
+  sys.hlEnd(0);
+  EXPECT_EQ(sys.l1(0).cache().countIf(
+                [](const mem::CacheEntry& e) { return e.transactional(); }),
+            0u);
+  sys.drain();
+  sys.expectCoherent();  // would report "tx-marked lines outside a tx"
+}
+
 TEST(HtmLock, ReadOverflowAllowsSharedButNotExclusive) {
   TestSystem sys(htmLockOpts(false, {8 * 1024, 4}));
   sys.memory().writeWord(kA, 5);

@@ -2,6 +2,8 @@
 // counts completes, keeps atomicity, keeps SWMR, and is bit-deterministic.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "config/runner.hpp"
 #include "config/sweep.hpp"
 #include "config/systems.hpp"
@@ -225,6 +227,77 @@ TEST(Integration, MachinePresetsMatchPaper) {
   EXPECT_EQ(typical.mesh.cols * typical.mesh.rows, 32u);
   EXPECT_EQ(MachineParams::smallCache().l1.sizeBytes, 8u * 1024);
   EXPECT_EQ(MachineParams::largeCache().l1.sizeBytes, 128u * 1024);
+}
+
+// FNV-1a over every field of every snapshot entry. result_digest covers only
+// cycles, commits and aborts; this pins the counters a speed-only change
+// could still move (mem.line_reads, dir.llc.hits/misses, histograms...).
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void put(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void put(const std::string& s) {
+    put(s.size());
+    for (const char c : s) put(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+  }
+};
+
+void foldSnapshot(Fnv& f, const stats::StatSnapshot& snap) {
+  f.put(snap.size());
+  for (const stats::SnapshotEntry& e : snap.entries()) {
+    f.put(e.path);
+    f.put(static_cast<std::uint64_t>(e.kind));
+    f.put(e.value);
+    f.put(e.count);
+    f.put(e.sum);
+    f.put(e.min);
+    f.put(e.max);
+    f.put(e.buckets.size());
+    for (const auto& [bucket, n] : e.buckets) {
+      f.put(bucket);
+      f.put(n);
+    }
+    f.put(e.overflowed ? 1 : 0);
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(e.number));
+    std::memcpy(&bits, &e.number, sizeof(bits));
+    f.put(bits);
+  }
+}
+
+TEST(Integration, FullStatsFingerprintUnchanged) {
+  struct Cell {
+    const char* system;
+    const char* workload;
+    unsigned threads;
+    const char* machine;
+  };
+  const Cell cells[] = {
+      {"Baseline", "genome", 8, "typical"},
+      {"LockillerTM", "genome", 8, "typical"},
+      {"TL2-STM", "genome", 8, "typical"},
+      {"Baseline", "vacation+", 8, "typical"},
+      {"LockillerTM", "vacation+", 8, "typical"},
+      {"TL2-STM", "vacation+", 8, "typical"},
+      {"LockillerTM", "kmeans+", 64, "typical-c64-b8"},
+  };
+  Fnv f;
+  for (const Cell& c : cells) {
+    RunConfig rc;
+    rc.machine = machineByName(c.machine);
+    rc.system = systemByName(c.system);
+    rc.threads = c.threads;
+    rc.rngSeed = 11;
+    const auto r = runSimulation(rc, [&] { return wl::makeStamp(c.workload); });
+    ASSERT_TRUE(r.ok()) << r.str();
+    f.put(r.cycles);
+    foldSnapshot(f, r.stats);
+  }
+  EXPECT_EQ(f.h, 0xad0dbd3695810baaull) << std::hex << "0x" << f.h;
 }
 
 TEST(Integration, MachineValidateLimitsCoresTo512) {

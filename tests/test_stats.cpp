@@ -615,26 +615,26 @@ TEST(Trace, CategoryMaskFilters) {
 
 TEST(Trace, NestingValidator) {
   std::vector<TraceEvent> good{
-      {"txn", TraceCat::Txn, 'B', 10, 0},
-      {"lock_mode", TraceCat::LockMode, 'B', 20, 0},
-      {"reject_sent", TraceCat::Reject, 'i', 25, 0},
-      {"lock_mode", TraceCat::LockMode, 'E', 30, 0},
-      {"txn", TraceCat::Txn, 'E', 40, 0},
-      {"txn", TraceCat::Txn, 'B', 15, 1},  // other lane interleaves freely
-      {"txn", TraceCat::Txn, 'E', 50, 1},
+      {"txn", TraceCat::Txn, 'B', 10, 0, {}, {}},
+      {"lock_mode", TraceCat::LockMode, 'B', 20, 0, {}, {}},
+      {"reject_sent", TraceCat::Reject, 'i', 25, 0, {}, {}},
+      {"lock_mode", TraceCat::LockMode, 'E', 30, 0, {}, {}},
+      {"txn", TraceCat::Txn, 'E', 40, 0, {}, {}},
+      {"txn", TraceCat::Txn, 'B', 15, 1, {}, {}},  // other lane interleaves freely
+      {"txn", TraceCat::Txn, 'E', 50, 1, {}, {}},
   };
   std::string why;
   EXPECT_TRUE(TraceSink::nestingWellFormed(good, &why)) << why;
 
   std::vector<TraceEvent> crossed{
-      {"txn", TraceCat::Txn, 'B', 10, 0},
-      {"lock_mode", TraceCat::LockMode, 'B', 20, 0},
-      {"txn", TraceCat::Txn, 'E', 30, 0},  // closes outer before inner
+      {"txn", TraceCat::Txn, 'B', 10, 0, {}, {}},
+      {"lock_mode", TraceCat::LockMode, 'B', 20, 0, {}, {}},
+      {"txn", TraceCat::Txn, 'E', 30, 0, {}, {}},  // closes outer before inner
   };
   EXPECT_FALSE(TraceSink::nestingWellFormed(crossed, &why));
   EXPECT_NE(why.find("mismatched"), std::string::npos);
 
-  std::vector<TraceEvent> unclosed{{"txn", TraceCat::Txn, 'B', 10, 0}};
+  std::vector<TraceEvent> unclosed{{"txn", TraceCat::Txn, 'B', 10, 0, {}, {}}};
   EXPECT_FALSE(TraceSink::nestingWellFormed(unclosed, &why));
   EXPECT_NE(why.find("unclosed"), std::string::npos);
 }
@@ -643,10 +643,10 @@ TEST(Trace, NestingValidator) {
 // check both the JSON structure and that the span nesting survived intact.
 TEST(Trace, ChromeJsonRoundTripPreservesNesting) {
   TraceSink sink;
-  sink.record({"txn", TraceCat::Txn, 'B', 100, 2, {"prio", 1}});
-  sink.record({"reject_received", TraceCat::Reject, 'i', 150, 2, {"line", 64}});
-  sink.record({"txn", TraceCat::Txn, 'E', 200, 2, {"committed", 1}});
-  sink.record({"dir_busy", TraceCat::Directory, 'i', 120, sim::kDirectoryLane});
+  sink.record({"txn", TraceCat::Txn, 'B', 100, 2, {"prio", 1}, {}});
+  sink.record({"reject_received", TraceCat::Reject, 'i', 150, 2, {"line", 64}, {}});
+  sink.record({"txn", TraceCat::Txn, 'E', 200, 2, {"committed", 1}, {}});
+  sink.record({"dir_busy", TraceCat::Directory, 'i', 120, sim::kDirectoryLane, {}, {}});
 
   const json::Value doc = json::parse(sink.chromeJson());
   const json::Value* events = doc.find("traceEvents");
